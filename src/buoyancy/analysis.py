@@ -12,15 +12,14 @@ through the scoring engine and split into segments.
 
 import csv
 import io
-import json
 import math
 import statistics
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .config import AgentConfig, build, config_field, read_json
 from .engine import Engine, buoyancy, log_change
 from .errors import ConfigError, InsufficientData, SchemaError
-from .server import AgentConfig
 from .sources import ReplaySource
 
 
@@ -29,8 +28,8 @@ class WorkloadMedians:
     """Low/high-segment medians of p95 latency and buoyancy for one workload."""
 
     workload_id: str
-    p95_low: float
-    p95_high: float
+    p95_low: float = config_field("p95_low_ms")
+    p95_high: float = config_field("p95_high_ms")
     buoyancy_low: float
     buoyancy_high: float
 
@@ -88,29 +87,14 @@ def analyze_medians(medians: Sequence[WorkloadMedians]) -> HeadroomReport:
 
 def load_medians_file(path: str) -> list[WorkloadMedians]:
     """Read a medians table: {"workloads": [{workload_id, p95_low_ms, ...}]}."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read medians file {path!r}: {exc}") from None
-    entries = obj.get("workloads")
+    obj = read_json(path, "medians file")
+    entries = obj.get("workloads") if isinstance(obj, dict) else None
     if not isinstance(entries, list) or not entries:
         raise SchemaError("workloads", "medians file needs a non-empty workload list")
-    out = []
-    for entry in entries:
-        try:
-            out.append(
-                WorkloadMedians(
-                    workload_id=entry["workload_id"],
-                    p95_low=float(entry["p95_low_ms"]),
-                    p95_high=float(entry["p95_high_ms"]),
-                    buoyancy_low=float(entry["buoyancy_low"]),
-                    buoyancy_high=float(entry["buoyancy_high"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError("workloads", f"bad medians entry {entry!r}: {exc}") from None
-    return out
+    try:
+        return list(build(tuple[WorkloadMedians, ...], entries, "medians.workloads"))
+    except ConfigError as exc:
+        raise SchemaError("workloads", str(exc)) from None
 
 
 def analyze_replay(

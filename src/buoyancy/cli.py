@@ -18,8 +18,9 @@ import sys
 import threading
 
 from . import analysis, controller
+from .config import AgentConfig, plant_config_from_dict, read_json
 from .errors import BuoyancyError, ConfigError
-from .server import AgentConfig, report_to_json, serve
+from .server import report_to_json, serve
 
 log = logging.getLogger(__name__)
 
@@ -88,18 +89,15 @@ def cmd_surface(args) -> int:
 
 
 def cmd_controller_sim(args) -> int:
-    try:
-        with open(args.plant, "r", encoding="utf-8") as fh:
-            plant_obj = json.load(fh)
-        with open(args.ctrl, "r", encoding="utf-8") as fh:
-            ctrl_obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(str(exc)) from None
-    from .server import plant_config_from_dict
-
-    plant_config = plant_config_from_dict(plant_obj)
-    ctrl_config, experiment = controller.controller_config_from_dict(ctrl_obj)
+    plant_config = plant_config_from_dict(read_json(args.plant, "plant config"))
+    ctrl_config, experiment = controller.controller_config_from_dict(
+        read_json(args.ctrl, "controller config")
+    )
     schedule = controller.InterferenceSchedule.from_file(args.schedule)
+    if experiment.workload_id not in {w.id for w in plant_config.workloads}:
+        raise ConfigError(
+            f"controller.experiment.workload_id: {experiment.workload_id!r} is not in {args.plant!r}"
+        )
     records = controller.run_experiment(plant_config, ctrl_config, schedule, experiment)
     _write_out(controller.format_records_csv(records), args.out)
     summary = controller.summarize_runs(records)

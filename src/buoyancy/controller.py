@@ -16,14 +16,13 @@ integrator cannot slingshot across the latency knee.
 
 import csv
 import io
-import json
 import math
 import statistics
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from .config import build, config_field, read_json
 from .engine import Engine, EngineConfig
-from .errors import ConfigError
 from .model import SloSpec
 from .sources import Allocation, ContentionPlant, PlantConfig
 
@@ -40,8 +39,8 @@ class ControllerConfig:
     perturb_amplitude: float = 0.25  # cores
     perturb_period: int = 8  # windows per perturbation cycle
     gain: float = 0.5
-    min_cores: float = 1.0
-    max_cores: float = 8.0
+    min_cores: float = config_field("actuation_bounds", "min_cores", default=1.0)
+    max_cores: float = config_field("actuation_bounds", "max_cores", default=8.0)
 
     def __post_init__(self):
         if self.mode not in (MODE_LATENCY, MODE_BUOYANCY):
@@ -71,21 +70,28 @@ class InterferenceSchedule:
 
     @staticmethod
     def from_dict(obj: dict) -> "InterferenceSchedule":
-        try:
-            steps = tuple(
-                sorted((int(s["window"]), float(s["level"])) for s in obj["steps"])
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"schedule: {exc}") from None
-        return InterferenceSchedule(steps=steps)
+        """From ``{"steps": [{"window": W, "level": L}, ...]}``, in any order."""
+        steps = build(_ScheduleFile, obj, "schedule").steps
+        return InterferenceSchedule(steps=tuple(sorted((s.window, s.level) for s in steps)))
 
     @staticmethod
     def from_file(path: str) -> "InterferenceSchedule":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return InterferenceSchedule.from_dict(json.load(fh))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read schedule {path!r}: {exc}") from None
+        return InterferenceSchedule.from_dict(read_json(path, "schedule"))
+
+
+@dataclass(frozen=True, slots=True)
+class _ScheduleStep:
+    window: int
+    level: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.level <= 1.0:
+            raise ValueError(f"level must be in [0, 1], got {self.level}")
+
+
+@dataclass(frozen=True, slots=True)
+class _ScheduleFile:
+    steps: tuple[_ScheduleStep, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,6 +107,12 @@ class ExperimentConfig:
     slo: Optional[SloSpec] = None
     node_cores: Optional[float] = None  # default: plant total_cores
     alpha: float = 0.7
+
+    def __post_init__(self):
+        if self.windows < 1:
+            raise ValueError(f"windows must be >= 1, got {self.windows}")
+        if self.repetitions < 1:
+            raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -284,32 +296,5 @@ def format_records_csv(records: Sequence[ControlRecord]) -> str:
 
 def controller_config_from_dict(obj: dict) -> tuple[ControllerConfig, ExperimentConfig]:
     """Parse the controller JSON: spec fields plus the experiment block."""
-    try:
-        bounds = obj.get("actuation_bounds", {})
-        ctrl = ControllerConfig(
-            mode=obj["mode"],
-            setpoint=float(obj["setpoint"]),
-            perturb_amplitude=float(obj.get("perturb_amplitude", 0.25)),
-            perturb_period=int(obj.get("perturb_period", 8)),
-            gain=float(obj.get("gain", 0.5)),
-            min_cores=float(bounds.get("min_cores", 1.0)),
-            max_cores=float(bounds.get("max_cores", 8.0)),
-        )
-        exp = obj["experiment"]
-        slo = None
-        if "slo" in exp:
-            slo = SloSpec(kpi_name=exp["slo"]["kpi_name"], slo_value=exp["slo"].get("slo_value"))
-        experiment = ExperimentConfig(
-            workload_id=exp["workload_id"],
-            load_rps=float(exp["load_rps"]),
-            initial_cores=float(exp["initial_cores"]),
-            llc_alloc_kib=exp.get("llc_alloc_kib"),
-            windows=int(exp.get("windows", 260)),
-            repetitions=int(exp.get("repetitions", 10)),
-            slo=slo,
-            node_cores=exp.get("node_cores"),
-            alpha=float(exp.get("alpha", 0.7)),
-        )
-        return ctrl, experiment
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"controller config: {exc}") from None
+    ctrl = build(ControllerConfig, obj, "controller")
+    return ctrl, build(ExperimentConfig, obj.get("experiment"), "controller.experiment")

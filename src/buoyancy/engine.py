@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from typing import Mapping, Optional, Sequence, Union
 
-from .errors import EmptyNode, EmptyScoreSet, InvalidSlo, NonPositiveInput
+from .errors import EmptyNode, EmptyScoreSet, NonPositiveInput
 from .model import (
     DEFAULT_VIOLATION_THRESHOLD,
     BuoyancyReport,
@@ -78,8 +78,6 @@ def perf_score(k_curr: Optional[float], slo: Optional[SloSpec]) -> float:
     """SLO slack score P. 1.0 when no SLO or no KPI observation exists."""
     if slo is None or slo.slo_value is None:
         return 1.0
-    if slo.slo_value <= 0:
-        raise InvalidSlo(f"slo_value must be > 0, got {slo.slo_value}")
     if k_curr is None:
         return 1.0
     if k_curr < 0:
@@ -190,15 +188,10 @@ class Engine:
         def blend(n: float, o: float) -> float:
             return w * n + (1.0 - w) * o
 
-        extra = {
-            k: blend(v, old.extra[k]) if k in old.extra else v
-            for k, v in new.extra.items()
-        }
         return ResourceScores(
             cpu=blend(new.cpu, old.cpu),
             llc=blend(new.llc, old.llc),
             mbw=blend(new.mbw, old.mbw),
-            extra=extra,
         )
 
     def step(self, batch: Sequence[TelemetrySample]) -> NodeReport:

@@ -5,11 +5,11 @@ functions. Cache sizes are carried in KiB and bandwidth in bytes/second;
 unit conversion belongs at interface boundaries, not here.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
-from typing import Mapping, Optional
+from typing import Optional
 
-from .errors import NonIncreasingCacheSizes, NonPositiveGeometry, SchemaError
+from .errors import InvalidSlo, NonIncreasingCacheSizes, NonPositiveGeometry, SchemaError
 
 #: Buoyancy at or below this value flags a workload as approaching an
 #: SLO violation.
@@ -79,6 +79,10 @@ class SloSpec:
     kpi_name: str
     slo_value: Optional[float] = None
 
+    def __post_init__(self):
+        if self.slo_value is not None and not self.slo_value > 0:
+            raise InvalidSlo(f"slo_value must be > 0, got {self.slo_value}")
+
 
 @dataclass(frozen=True, slots=True)
 class TelemetrySample:
@@ -113,28 +117,16 @@ class TelemetrySample:
         return (self.window_end - self.window_start).total_seconds()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResourceScores:
-    """Per-resource scores of one workload, each in [0, 1].
-
-    ``extra`` holds additional named scores (network, disk, ...) so new
-    resources can ride along without changing this type. Treat it as
-    read-only.
-    """
+    """Per-resource scores of one workload, each in [0, 1]."""
 
     cpu: float
     llc: float
     mbw: float
-    extra: Mapping[str, float] = field(default_factory=dict)
 
     def values(self) -> list[float]:
-        return [self.cpu, self.llc, self.mbw, *self.extra.values()]
-
-    def as_dict(self) -> dict:
-        d = {"cpu": self.cpu, "llc": self.llc, "mbw": self.mbw}
-        if self.extra:
-            d["extra"] = dict(self.extra)
-        return d
+        return [self.cpu, self.llc, self.mbw]
 
 
 @dataclass(frozen=True, slots=True)

@@ -16,142 +16,17 @@ import logging
 import threading
 from datetime import datetime
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Optional
+from typing import Optional
 
-from .engine import Engine, EngineConfig, NodeReport
-from .errors import BindError, ConfigError, EmptyNode
+# Re-exported from buoyancy.config: callers written before that module
+# existed import AgentConfig and plant_config_from_dict from here.
+from .config import AgentConfig, plant_config_from_dict  # noqa: F401
+from .engine import Engine, NodeReport
+from .errors import BindError, EmptyNode
 from .exposition import CONTENT_TYPE, render_openmetrics
-from .model import CacheTopology, SloSpec
-from .sources import Allocation, ContentionPlant, PlantConfig, PlantSource, PlantWorkload, ReplaySource
+from .sources import ContentionPlant, PlantSource, ReplaySource
 
 log = logging.getLogger(__name__)
-
-
-def _require(obj: dict, key: str, where: str) -> Any:
-    if key not in obj:
-        raise ConfigError(f"{where}: missing {key!r}")
-    return obj[key]
-
-
-def _topology_from_config(obj: dict) -> CacheTopology:
-    try:
-        return CacheTopology(
-            l1_size_kib=float(_require(obj, "l1_size_kib", "topology")),
-            l2_size_kib=float(_require(obj, "l2_size_kib", "topology")),
-            l3_size_kib=float(_require(obj, "l3_size_kib", "topology")),
-            l3_ways=int(_require(obj, "l3_ways", "topology")),
-            mem_speed_mts=float(_require(obj, "mem_speed_mts", "topology")),
-            mem_bus_width_bytes=float(_require(obj, "mem_bus_width_bytes", "topology")),
-            mem_channels=int(_require(obj, "mem_channels", "topology")),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"topology: {exc}") from None
-
-
-def plant_config_from_dict(obj: dict) -> PlantConfig:
-    """Build a PlantConfig from its JSON form."""
-    try:
-        workloads = tuple(
-            PlantWorkload(
-                id=_require(w, "id", "plant workload"),
-                service_rate_per_core=float(_require(w, "service_rate_per_core", "plant workload")),
-                base_latency_ms=float(_require(w, "base_latency_ms", "plant workload")),
-                latency_gain=float(_require(w, "latency_gain", "plant workload")),
-                working_set_kib=float(_require(w, "working_set_kib", "plant workload")),
-                mbw_per_req_bytes=float(_require(w, "mbw_per_req_bytes", "plant workload")),
-                interference_sensitivity=float(w.get("interference_sensitivity", 0.0)),
-            )
-            for w in _require(obj, "workloads", "plant")
-        )
-        return PlantConfig(
-            workloads=workloads,
-            topology=_topology_from_config(_require(obj, "topology", "plant")),
-            total_cores=float(_require(obj, "total_cores", "plant")),
-            seed=int(obj.get("seed", 0)),
-            window_s=float(obj.get("window_s", 1.0)),
-            noise_sigma=float(obj.get("noise_sigma", 0.01)),
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, KeyError) as exc:
-        raise ConfigError(f"plant: {exc}") from None
-
-
-@dataclasses.dataclass(frozen=True)
-class AgentConfig:
-    """Parsed service configuration."""
-
-    window_s: float
-    topology: CacheTopology
-    node_cores: float
-    engine: EngineConfig
-    slos: dict[str, SloSpec]
-    source_type: str  # "replay" | "plant"
-    replay_path: Optional[str] = None
-    replay_strict: bool = True
-    plant: Optional[PlantConfig] = None
-    allocations: Optional[dict[str, Allocation]] = None
-    interference: float = 0.0
-
-    @staticmethod
-    def from_dict(obj: dict) -> "AgentConfig":
-        try:
-            topology = _topology_from_config(_require(obj, "topology", "config"))
-            engine = EngineConfig(
-                alpha=float(obj.get("alpha", 0.7)),
-                violation_threshold=float(obj.get("violation_threshold", 0.1)),
-                ema_factor=float(obj.get("ema_factor", 1.0)),
-                expiry_windows=int(obj.get("expiry_windows", 3)),
-            )
-            slos = {
-                wid: SloSpec(
-                    kpi_name=_require(spec, "kpi_name", f"slo[{wid}]"),
-                    slo_value=spec.get("slo_value"),
-                )
-                for wid, spec in obj.get("slo", {}).items()
-            }
-            source = _require(obj, "source", "config")
-            source_type = _require(source, "type", "source")
-            cfg = dict(
-                window_s=float(obj.get("window_s", 1.0)),
-                topology=topology,
-                node_cores=float(_require(obj, "node_cores", "config")),
-                engine=engine,
-                slos=slos,
-                source_type=source_type,
-            )
-            if source_type == "replay":
-                cfg["replay_path"] = _require(source, "path", "source")
-                cfg["replay_strict"] = bool(source.get("strict", True))
-            elif source_type == "plant":
-                cfg["plant"] = plant_config_from_dict(_require(source, "plant", "source"))
-                cfg["allocations"] = {
-                    wid: Allocation(
-                        cores=float(_require(a, "cores", f"allocations[{wid}]")),
-                        llc_kib=a.get("llc_kib"),
-                        load_rps=float(a.get("load_rps", 0.0)),
-                    )
-                    for wid, a in _require(source, "allocations", "source").items()
-                }
-                cfg["interference"] = float(source.get("interference", 0.0))
-            else:
-                raise ConfigError(f"source.type must be 'replay' or 'plant', got {source_type!r}")
-            return AgentConfig(**cfg)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise ConfigError(str(exc)) from None
-
-    @staticmethod
-    def from_file(path: str) -> "AgentConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path!r}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from None
-        return AgentConfig.from_dict(obj)
 
 
 def _json_default(value):

@@ -290,6 +290,10 @@ class Allocation:
     llc_kib: Optional[float] = None  # None: full shared LLC
     load_rps: float = 0.0
 
+    def __post_init__(self):
+        if self.llc_kib is not None and not self.llc_kib > 0:
+            raise ValueError(f"llc_kib must be > 0 when set, got {self.llc_kib}")
+
 
 @dataclass
 class ContentionPlant:

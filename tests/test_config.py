@@ -1,0 +1,151 @@
+"""Config loading: every bad config fails at load with its location.
+
+Agent configs are checked through their loader, because ``serve`` would
+run until stopped; the offline configs go through ``buoyancy controller-sim``
+and must exit 1 with a ``config error:`` line before any window runs.
+"""
+
+import json
+import math
+import os
+
+import pytest
+
+from buoyancy import EngineConfig
+from buoyancy.analysis import load_medians_file
+from buoyancy.cli import main
+from buoyancy.config import AgentConfig, plant_config_from_dict, read_json
+from buoyancy.controller import ControllerConfig, InterferenceSchedule, controller_config_from_dict
+from buoyancy.errors import ConfigError
+from buoyancy.sources import ReplaySource
+
+CONFIGS = "configs"
+SIM_FILES = {
+    "plant": "controller_plant.json",
+    "ctrl": "controller_buoyancy.json",
+    "schedule": "schedule_step.json",
+}
+
+
+def _bundled(name):
+    with open(os.path.join(CONFIGS, name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _parent(obj, path):
+    """The container of the value at ``path`` in ``obj``, and its key there."""
+    *parents, last = path
+    for key in parents:
+        obj = obj[key]
+    return obj, last
+
+
+# (case id, file, path to the bad value, bad value, location named by the error)
+BAD_CONFIGS = [
+    ("agent-l3-ways-zero", "agent_replay.json", ("topology", "l3_ways"), 0, "config"),
+    ("agent-slo-zero", "agent_replay.json", ("slo", "webapp", "slo_value"), 0, "config.slo.webapp"),
+    ("agent-slo-string", "agent_replay.json", ("slo", "webapp", "slo_value"), "16",
+     "config.slo.webapp.slo_value"),
+    ("agent-slo-nan", "agent_replay.json", ("slo", "webapp", "slo_value"), math.nan,
+     "config.slo.webapp.slo_value"),
+    ("agent-llc-string", "agent_plant.json", ("source", "allocations", "webapp", "llc_kib"), "2048",
+     "config.source.allocations.webapp.llc_kib"),
+    ("agent-llc-zero", "agent_plant.json", ("source", "allocations", "webapp", "llc_kib"), 0,
+     "config.source.allocations.webapp"),
+    ("agent-node-cores-zero", "agent_replay.json", ("node_cores",), 0, "config"),
+    ("agent-node-cores-bool", "agent_replay.json", ("node_cores",), True, "config.node_cores"),
+    ("agent-window-zero", "agent_replay.json", ("window_s",), 0, "config"),
+    ("agent-allocation-unknown-workload", "agent_plant.json", ("source", "allocations", "nope"),
+     {"cores": 1}, "config"),
+    ("plant-l3-ways-zero", "controller_plant.json", ("topology", "l3_ways"), 0, "plant"),
+    ("experiment-repetitions-zero", "controller_buoyancy.json", ("experiment", "repetitions"), 0,
+     "controller.experiment"),
+    ("experiment-windows-zero", "controller_buoyancy.json", ("experiment", "windows"), 0,
+     "controller.experiment"),
+    ("experiment-unknown-workload", "controller_buoyancy.json", ("experiment", "workload_id"),
+     "nope", "controller.experiment.workload_id"),
+    ("schedule-level-above-one", "schedule_step.json", ("steps", 1, "level"), 1.5,
+     "schedule.steps[1]"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,path,value,where",
+    [case[1:] for case in BAD_CONFIGS],
+    ids=[case[0] for case in BAD_CONFIGS],
+)
+def test_bad_config_fails_at_load(name, path, value, where, tmp_path, capsys):
+    obj = _bundled(name)
+    parent, key = _parent(obj, path)
+    parent[key] = value
+    if name.startswith("agent_"):
+        with pytest.raises(ConfigError) as info:
+            AgentConfig.from_dict(obj)
+        assert str(info.value).startswith(f"{where}:")
+        return
+    args = ["controller-sim", "--out", str(tmp_path / "runs.csv")]
+    for flag, bundled in SIM_FILES.items():
+        target = tmp_path / bundled
+        target.write_text(json.dumps(obj if bundled == name else _bundled(bundled)))
+        args += [f"--{flag}", str(target)]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {where}:")
+    assert not (tmp_path / "runs.csv").exists()
+
+
+@pytest.mark.parametrize("path", [("topology", "mem_channels"), ("source",)])
+def test_missing_field_is_named(path):
+    obj = _bundled("agent_replay.json")
+    parent, key = _parent(obj, path)
+    del parent[key]
+    with pytest.raises(ConfigError, match=rf"^config\.{'.'.join(path)}: missing$"):
+        AgentConfig.from_dict(obj)
+
+
+def test_absent_keys_take_the_dataclass_defaults():
+    obj = _bundled("agent_replay.json")
+    for key in ("window_s", "alpha", "violation_threshold", "ema_factor", "slo"):
+        del obj[key]
+    config = AgentConfig.from_dict(obj)
+    assert config.engine == EngineConfig()
+    assert (config.window_s, config.slos, config.replay_strict) == (1.0, {}, True)
+    experiment = _bundled("controller_buoyancy.json")["experiment"]
+    ctrl, _ = controller_config_from_dict(
+        {"mode": "latency", "setpoint": 10, "experiment": experiment}
+    )
+    assert ctrl == ControllerConfig(mode="latency", setpoint=10.0)
+
+
+def test_unreadable_and_malformed_files(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    for path in (str(bad), str(tmp_path / "absent.json")):
+        with pytest.raises(ConfigError):
+            read_json(path, "agent config")
+
+
+def _replay(path):
+    source = ReplaySource(path)
+    try:
+        return list(source)
+    finally:
+        source.close()
+
+
+LOADERS = {
+    "agent_plant.json": AgentConfig.from_file,
+    "agent_replay.json": AgentConfig.from_file,
+    "controller_plant.json": lambda path: plant_config_from_dict(read_json(path, "plant config")),
+    "controller_buoyancy.json": lambda path: controller_config_from_dict(
+        read_json(path, "controller config")
+    ),
+    "schedule_step.json": InterferenceSchedule.from_file,
+    "headroom_medians.json": load_medians_file,
+    "replay_demo.jsonl": _replay,
+}
+
+
+def test_every_bundled_config_loads():
+    assert sorted(os.listdir(CONFIGS)) == sorted(LOADERS), "register new configs in LOADERS"
+    for name, load in LOADERS.items():
+        assert load(os.path.join(CONFIGS, name)), name

@@ -88,11 +88,6 @@ def test_buoyancy_accepts_resource_scores():
     assert buoyancy(0.5, scores, alpha=0.7) == manual
 
 
-def test_buoyancy_includes_extra_scores():
-    scores = ResourceScores(cpu=0.1, llc=0.1, mbw=0.1, extra={"net": 0.9})
-    assert buoyancy(1.0, scores, 0.7) == buoyancy(1.0, [0.1, 0.1, 0.1, 0.9], 0.7)
-
-
 @given(
     p=st.floats(-5, 1),
     scores=st.lists(st.floats(0, 1), min_size=1, max_size=6),
