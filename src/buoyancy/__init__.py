@@ -32,7 +32,6 @@ from .errors import (
     NonPositiveInput,
     ParseError,
     SchemaError,
-    ZeroAllocation,
 )
 from .model import (
     BuoyancyReport,
@@ -96,7 +95,6 @@ __all__ = [
     "SchemaError",
     "SloSpec",
     "TelemetrySample",
-    "ZeroAllocation",
     "buoyancy",
     "cpu_score",
     "demo_plant_config",

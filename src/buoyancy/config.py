@@ -140,6 +140,9 @@ class AgentConfig:
             unknown = set(self.allocations) - {w.id for w in self.plant.workloads}
             if unknown:
                 raise ValueError(f"allocations name workloads the plant lacks: {sorted(unknown)}")
+            self.plant.check_capacity(self.allocations)
+            if not 0.0 <= self.interference <= 1.0:
+                raise ValueError(f"source.interference must be in [0, 1], got {self.interference}")
         else:
             raise ValueError(f"source.type must be 'replay' or 'plant', got {self.source_type!r}")
 

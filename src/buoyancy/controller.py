@@ -49,6 +49,8 @@ class ControllerConfig:
             raise ValueError("perturb_amplitude must be > 0")
         if self.perturb_period < 4:
             raise ValueError("perturb_period must be >= 4")
+        if not self.min_cores > 0:
+            raise ValueError(f"actuation_bounds.min_cores must be > 0, got {self.min_cores}")
         if not self.min_cores < self.max_cores:
             raise ValueError("actuation bounds must be ordered")
 
@@ -113,6 +115,12 @@ class ExperimentConfig:
             raise ValueError(f"windows must be >= 1, got {self.windows}")
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
+        if self.node_cores is not None and not self.node_cores > 0:
+            raise ValueError(f"node_cores must be > 0 when set, got {self.node_cores}")
+        # These reach the plant as an Allocation and the engine as an EngineConfig:
+        # build one of each so that their own rules reject bad values at load.
+        Allocation(cores=self.initial_cores, llc_kib=self.llc_alloc_kib, load_rps=self.load_rps)
+        EngineConfig(alpha=self.alpha)
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,6 +202,7 @@ def run_experiment(
     """Closed-loop runs over seeded repetitions; returns every window record."""
     wid = experiment.workload_id
     plant_config.workload(wid)  # validate the id early
+    node_cores = plant_config.total_cores if experiment.node_cores is None else experiment.node_cores
     records: list[ControlRecord] = []
     for rep in range(experiment.repetitions):
         seed = plant_config.seed + rep
@@ -209,7 +218,7 @@ def run_experiment(
         )
         engine = Engine(
             topology=plant_config.topology,
-            node_cores=experiment.node_cores or plant_config.total_cores,
+            node_cores=node_cores,
             slos={wid: experiment.slo} if experiment.slo else {},
             config=EngineConfig(alpha=experiment.alpha),
         )

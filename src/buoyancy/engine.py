@@ -197,9 +197,13 @@ class Engine:
     def step(self, batch: Sequence[TelemetrySample]) -> NodeReport:
         """Score one window's batch (one sample per workload) into a report."""
         seen = set()
+        # Node CPU and MBW divide by one window length: the first sample's.
+        window = (batch[0].window_start, batch[0].window_end) if batch else None
         for sample in batch:
             if sample.workload_id in seen:
                 raise ValueError(f"duplicate sample for workload {sample.workload_id!r}")
+            if (sample.window_start, sample.window_end) != window:
+                raise ValueError(f"batch spans more than one window at {sample.workload_id!r}")
             seen.add(sample.workload_id)
 
         # Age out workloads that left the node.

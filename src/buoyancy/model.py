@@ -103,12 +103,21 @@ class TelemetrySample:
     kpi_value: Optional[float] = None
 
     def __post_init__(self):
-        if self.window_end <= self.window_start:
-            raise SchemaError("window_end", "window must have positive length")
+        # The only home of a sample's value rules; ``not x > 0`` rejects NaN too.
+        if not self.workload_id:
+            raise SchemaError("workload_id", "must be non-empty")
+        if not self.window_end > self.window_start:
+            raise SchemaError("window_end", "window must end after it starts")
+        if not self.cpu_alloc_cores > 0:
+            raise SchemaError("cpu_alloc_cores", "must be > 0")
         for name in ("cpu_user_time_s", "mem_refs", "l1_miss", "l2_miss", "l3_miss", "mbw_bytes"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise SchemaError(name, "must be >= 0")
-        if self.kpi_value is not None and self.kpi_value < 0:
+        for name in ("mbw_alloc_bytes_per_s", "llc_alloc_kib"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise SchemaError(name, "must be > 0 when present")
+        if self.kpi_value is not None and not self.kpi_value >= 0:
             raise SchemaError("kpi_value", "must be >= 0")
 
     @property

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import NoMemoryTraffic, ZeroAllocation
+from .errors import NoMemoryTraffic
 from .model import CacheTopology, ResourceScores, TelemetrySample, llc_way_size, theoretical_max_mbw
 
 
@@ -52,12 +52,7 @@ class MrcFit:
 
 def cpu_score(sample: TelemetrySample) -> float:
     """CPU score: user CPU seconds over allocated core-seconds, clamped to 1."""
-    window = sample.window_s
-    if sample.cpu_alloc_cores <= 0 or window <= 0:
-        raise ZeroAllocation(
-            f"cpu_alloc_cores={sample.cpu_alloc_cores}, window={window}s"
-        )
-    t_alloc = sample.cpu_alloc_cores * window
+    t_alloc = sample.cpu_alloc_cores * sample.window_s
     return min(sample.cpu_user_time_s / t_alloc, 1.0)
 
 
@@ -133,8 +128,6 @@ def mbw_score(sample: TelemetrySample, topology: CacheTopology) -> float:
     alloc = sample.mbw_alloc_bytes_per_s
     if alloc is None:
         alloc = theoretical_max_mbw(topology)
-    elif alloc <= 0:
-        raise ZeroAllocation(f"mbw_alloc_bytes_per_s={alloc}")
     current = sample.mbw_bytes / sample.window_s
     return min(current / alloc, 1.0)
 

@@ -75,7 +75,11 @@ def _parse_rfc3339(value: str, field: str) -> datetime:
 
 
 def parse_telemetry_record(obj: dict, strict: bool = True) -> TelemetrySample:
-    """Validate one decoded JSONL object into a TelemetrySample."""
+    """Build a TelemetrySample from one decoded JSONL object, checking its JSON shape.
+
+    Value rules live on ``TelemetrySample``. ``json`` decodes ``NaN`` and
+    ``Infinity``, which are not JSON numbers, so they are rejected here.
+    """
     if not isinstance(obj, dict):
         raise SchemaError("<record>", "each line must be a JSON object")
     for key in obj:
@@ -95,27 +99,11 @@ def parse_telemetry_record(obj: dict, strict: bool = True) -> TelemetrySample:
             continue
         if isinstance(value, bool) or not isinstance(value, types):
             raise SchemaError(key, f"expected {types}, got {type(value).__name__}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise SchemaError(key, f"must be a finite number, got {value}")
         fields[key] = value
-    if not fields["workload_id"]:
-        raise SchemaError("workload_id", "must be non-empty")
-    if fields["cpu_alloc_cores"] <= 0:
-        raise SchemaError("cpu_alloc_cores", "must be > 0")
-    for key in ("mem_refs", "l1_miss", "l2_miss", "l3_miss", "mbw_bytes"):
-        if fields[key] < 0:
-            raise SchemaError(key, "must be >= 0")
-    if fields["cpu_user_time_s"] < 0:
-        raise SchemaError("cpu_user_time_s", "must be >= 0")
-    if fields["mbw_alloc_bytes_per_s"] is not None and fields["mbw_alloc_bytes_per_s"] <= 0:
-        raise SchemaError("mbw_alloc_bytes_per_s", "must be > 0 when present")
-    if fields["llc_alloc_kib"] is not None and fields["llc_alloc_kib"] <= 0:
-        raise SchemaError("llc_alloc_kib", "must be > 0 when present")
-    if fields["kpi_value"] is not None and fields["kpi_value"] < 0:
-        raise SchemaError("kpi_value", "must be >= 0")
-
     start = _parse_rfc3339(fields["window_start"], "window_start")
     end = _parse_rfc3339(fields["window_end"], "window_end")
-    if end <= start:
-        raise SchemaError("window_end", "window must end after it starts")
     return TelemetrySample(
         workload_id=fields["workload_id"],
         window_start=start,
@@ -226,6 +214,8 @@ class PlantWorkload:
     interference_sensitivity: float = 0.0  # gamma in [0, 1]
 
     def __post_init__(self):
+        if not self.id:
+            raise ValueError("id must be non-empty")
         if self.service_rate_per_core <= 0:
             raise ValueError("service_rate_per_core must be > 0")
         if self.latency_gain <= 0:
@@ -250,6 +240,23 @@ class PlantWorkload:
             return self.base_latency_ms + self.latency_gain / (mu - load_rps)
         saturated = self.base_latency_ms + self.latency_gain / ((1.0 - OVERLOAD_POINT) * mu)
         return saturated * OVERLOAD_MULTIPLIER
+
+
+@dataclass(frozen=True, slots=True)
+class Allocation:
+    """Per-workload actuation input to one plant step."""
+
+    cores: float
+    llc_kib: Optional[float] = None  # None: full shared LLC
+    load_rps: float = 0.0
+
+    def __post_init__(self):
+        if not self.cores > 0:
+            raise ValueError(f"cores must be > 0, got {self.cores}")
+        if self.llc_kib is not None and not self.llc_kib > 0:
+            raise ValueError(f"llc_kib must be > 0 when set, got {self.llc_kib}")
+        if not self.load_rps >= 0:
+            raise ValueError(f"load_rps must be >= 0, got {self.load_rps}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -281,18 +288,14 @@ class PlantConfig:
                 return w
         raise KeyError(wid)
 
-
-@dataclass(frozen=True, slots=True)
-class Allocation:
-    """Per-workload actuation input to one plant step."""
-
-    cores: float
-    llc_kib: Optional[float] = None  # None: full shared LLC
-    load_rps: float = 0.0
-
-    def __post_init__(self):
-        if self.llc_kib is not None and not self.llc_kib > 0:
-            raise ValueError(f"llc_kib must be > 0 when set, got {self.llc_kib}")
+    def check_capacity(self, allocations: Mapping[str, Allocation]) -> None:
+        """Raise CapacityExceeded unless the allocations fit the node's cores and LLC."""
+        cores = math.fsum(a.cores for a in allocations.values())
+        if cores > self.total_cores + 1e-9:
+            raise CapacityExceeded(f"allocated {cores} cores on a {self.total_cores}-core node")
+        llc = math.fsum(a.llc_kib for a in allocations.values() if a.llc_kib is not None)
+        if llc > self.topology.l3_size_kib + 1e-9:
+            raise CapacityExceeded(f"allocated {llc} KiB of a {self.topology.l3_size_kib} KiB LLC")
 
 
 @dataclass
@@ -319,23 +322,7 @@ class ContentionPlant:
         """Advance one window; returns (samples, true p95 latencies by id)."""
         cfg = self.config
         topo = cfg.topology
-        total_cores = math.fsum(a.cores for a in allocations.values())
-        if total_cores > cfg.total_cores + 1e-9:
-            raise CapacityExceeded(
-                f"allocated {total_cores} cores on a {cfg.total_cores}-core node"
-            )
-        explicit_llc = math.fsum(
-            a.llc_kib for a in allocations.values() if a.llc_kib is not None
-        )
-        if explicit_llc > topo.l3_size_kib + 1e-9:
-            raise CapacityExceeded(
-                f"allocated {explicit_llc} KiB of a {topo.l3_size_kib} KiB LLC"
-            )
-        for wid, alloc in allocations.items():
-            if alloc.cores <= 0:
-                raise CapacityExceeded(f"workload {wid!r} allocated {alloc.cores} cores")
-            if alloc.load_rps < 0:
-                raise ValueError(f"workload {wid!r} load must be >= 0")
+        cfg.check_capacity(allocations)
 
         window = cfg.window_s
         start = _EPOCH + timedelta(seconds=self._window_index * window)

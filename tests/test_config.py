@@ -57,13 +57,38 @@ BAD_CONFIGS = [
     ("agent-window-zero", "agent_replay.json", ("window_s",), 0, "config"),
     ("agent-allocation-unknown-workload", "agent_plant.json", ("source", "allocations", "nope"),
      {"cores": 1}, "config"),
+    ("agent-allocation-cores-zero", "agent_plant.json",
+     ("source", "allocations", "webapp", "cores"), 0, "config.source.allocations.webapp"),
+    ("agent-allocation-load-negative", "agent_plant.json",
+     ("source", "allocations", "webapp", "load_rps"), -5, "config.source.allocations.webapp"),
+    ("agent-allocation-cores-over-capacity", "agent_plant.json",
+     ("source", "allocations", "webapp", "cores"), 9, "config"),
+    ("agent-interference-above-one", "agent_plant.json", ("source", "interference"), 1.5, "config"),
     ("plant-l3-ways-zero", "controller_plant.json", ("topology", "l3_ways"), 0, "plant"),
+    ("plant-workload-id-empty", "controller_plant.json", ("workloads", 0, "id"), "",
+     "plant.workloads[0]"),
     ("experiment-repetitions-zero", "controller_buoyancy.json", ("experiment", "repetitions"), 0,
      "controller.experiment"),
     ("experiment-windows-zero", "controller_buoyancy.json", ("experiment", "windows"), 0,
      "controller.experiment"),
     ("experiment-unknown-workload", "controller_buoyancy.json", ("experiment", "workload_id"),
      "nope", "controller.experiment.workload_id"),
+    ("experiment-llc-zero", "controller_buoyancy.json", ("experiment", "llc_alloc_kib"), 0,
+     "controller.experiment"),
+    ("experiment-load-negative", "controller_buoyancy.json", ("experiment", "load_rps"), -1,
+     "controller.experiment"),
+    ("experiment-node-cores-negative", "controller_buoyancy.json", ("experiment", "node_cores"), -2,
+     "controller.experiment"),
+    ("experiment-node-cores-zero", "controller_buoyancy.json", ("experiment", "node_cores"), 0,
+     "controller.experiment"),
+    ("experiment-alpha-two", "controller_buoyancy.json", ("experiment", "alpha"), 2,
+     "controller.experiment"),
+    ("experiment-initial-cores-zero", "controller_buoyancy.json", ("experiment", "initial_cores"), 0,
+     "controller.experiment"),
+    ("ctrl-min-cores-zero", "controller_buoyancy.json", ("actuation_bounds", "min_cores"), 0,
+     "controller"),
+    ("ctrl-min-cores-negative", "controller_buoyancy.json", ("actuation_bounds", "min_cores"), -3,
+     "controller"),
     ("schedule-level-above-one", "schedule_step.json", ("steps", 1, "level"), 1.5,
      "schedule.steps[1]"),
 ]

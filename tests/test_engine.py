@@ -275,6 +275,13 @@ def test_step_duplicate_workload_rejected(topo):
         engine.step([make_sample(), make_sample()])
 
 
+def test_step_mixed_windows_rejected(topo):
+    # Node CPU and MBW would divide both samples' counters by the 1 s window.
+    engine = _engine(topo)
+    with pytest.raises(ValueError, match="one window"):
+        engine.step([make_sample(window_s=1.0), make_sample(workload_id="w2", window_s=10.0)])
+
+
 def test_step_ema_smoothing(topo):
     engine = _engine(topo, config=EngineConfig(ema_factor=0.5))
     first = engine.step([make_sample(cpu_user_time_s=0.0, kpi_value=5.0)])

@@ -114,10 +114,14 @@ def test_sample_window_must_be_positive():
         make_sample(window_s=0.0)
 
 
-def test_sample_negative_counter_rejected():
+@pytest.mark.parametrize(
+    "field,value",
+    [("l1_miss", -1), ("cpu_alloc_cores", 0.0), ("mbw_alloc_bytes_per_s", -5)],
+)
+def test_sample_bad_value_names_field(field, value):
     with pytest.raises(SchemaError) as exc:
-        make_sample(l1_miss=-1)
-    assert exc.value.field == "l1_miss"
+        make_sample(**{field: value})
+    assert exc.value.field == field
 
 
 def test_sample_negative_kpi_rejected():

@@ -87,6 +87,10 @@ def test_replay_unknown_field_lenient_warns(tmp_path, caplog):
         (lambda r: r.update(mbw_alloc_bytes_per_s=0), "mbw_alloc_bytes_per_s"),
         (lambda r: r.update(llc_alloc_kib=-4), "llc_alloc_kib"),
         (lambda r: r.update(kpi_value=-1), "kpi_value"),
+        pytest.param(lambda r: r.update(kpi_value=math.inf), "kpi_value", id="kpi_value-inf"),
+        pytest.param(
+            lambda r: r.update(cpu_alloc_cores=math.nan), "cpu_alloc_cores", id="cpu_alloc_cores-nan"
+        ),
     ],
 )
 def test_replay_schema_violations(tmp_path, mutate, field):
