@@ -14,10 +14,10 @@ import csv
 import io
 import math
 import statistics
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import Iterable, Optional, Sequence
 
-from .config import AgentConfig, build, config_field, read_json
+from .config import AgentConfig, build, read_json
 from .engine import Engine, buoyancy, log_change
 from .errors import ConfigError, InsufficientData, SchemaError
 from .sources import ReplaySource
@@ -28,8 +28,8 @@ class WorkloadMedians:
     """Low/high-segment medians of p95 latency and buoyancy for one workload."""
 
     workload_id: str
-    p95_low: float = config_field("p95_low_ms")
-    p95_high: float = config_field("p95_high_ms")
+    p95_low_ms: float
+    p95_high_ms: float
     buoyancy_low: float
     buoyancy_high: float
 
@@ -37,8 +37,8 @@ class WorkloadMedians:
 @dataclass(frozen=True, slots=True)
 class HeadroomRow:
     workload_id: str
-    p95_low: float
-    p95_high: float
+    p95_low_ms: float
+    p95_high_ms: float
     latency_pct_change: float  # fractional, e.g. 0.338
     latency_log_change: float
     buoyancy_low: float
@@ -64,10 +64,10 @@ def analyze_medians(medians: Sequence[WorkloadMedians]) -> HeadroomReport:
         rows.append(
             HeadroomRow(
                 workload_id=m.workload_id,
-                p95_low=m.p95_low,
-                p95_high=m.p95_high,
-                latency_pct_change=m.p95_high / m.p95_low - 1.0,
-                latency_log_change=log_change(m.p95_low, m.p95_high),
+                p95_low_ms=m.p95_low_ms,
+                p95_high_ms=m.p95_high_ms,
+                latency_pct_change=m.p95_high_ms / m.p95_low_ms - 1.0,
+                latency_log_change=log_change(m.p95_low_ms, m.p95_high_ms),
                 buoyancy_low=m.buoyancy_low,
                 buoyancy_high=m.buoyancy_high,
                 buoyancy_pct_change=m.buoyancy_high / m.buoyancy_low - 1.0,
@@ -151,8 +151,8 @@ def analyze_replay(
         medians.append(
             WorkloadMedians(
                 workload_id=wid,
-                p95_low=median_in(kpi[wid], segments["low"], "KPI"),
-                p95_high=median_in(kpi[wid], segments["high"], "KPI"),
+                p95_low_ms=median_in(kpi[wid], segments["low"], "KPI"),
+                p95_high_ms=median_in(kpi[wid], segments["high"], "KPI"),
                 buoyancy_low=median_in(buoy[wid], segments["low"], "buoyancy"),
                 buoyancy_high=median_in(buoy[wid], segments["high"], "buoyancy"),
             )
@@ -160,41 +160,26 @@ def analyze_replay(
     return analyze_medians(medians)
 
 
+def format_csv(cls: type, rows: Iterable) -> str:
+    """CSV of dataclass records: one column per field of ``cls``, a bool as 1/0."""
+    names = [f.name for f in fields(cls)]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(names)
+    for row in rows:
+        values = [getattr(row, name) for name in names]
+        writer.writerow([int(v) if isinstance(v, bool) else v for v in values])
+    return buf.getvalue()
+
+
 def format_headroom_csv(report: HeadroomReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [
-            "workload_id",
-            "p95_low_ms",
-            "p95_high_ms",
-            "latency_pct_change",
-            "latency_log_change",
-            "buoyancy_low",
-            "buoyancy_high",
-            "buoyancy_pct_change",
-            "buoyancy_log_change",
-        ]
-    )
-    for r in report.rows:
-        writer.writerow(
-            [
-                r.workload_id,
-                r.p95_low,
-                r.p95_high,
-                r.latency_pct_change,
-                r.latency_log_change,
-                r.buoyancy_low,
-                r.buoyancy_high,
-                r.buoyancy_pct_change,
-                r.buoyancy_log_change,
-            ]
-        )
     writer.writerow([])
     writer.writerow(["mean_latency_log_change", report.mean_latency_log_change])
     writer.writerow(["mean_buoyancy_log_change", report.mean_buoyancy_log_change])
     writer.writerow(["actuation_gap", report.actuation_gap])
-    return buf.getvalue()
+    return format_csv(HeadroomRow, report.rows) + buf.getvalue()
 
 
 def format_headroom_table(report: HeadroomReport) -> str:
@@ -205,7 +190,7 @@ def format_headroom_table(report: HeadroomReport) -> str:
     lines = [header, "-" * len(header)]
     for r in report.rows:
         lines.append(
-            f"{r.workload_id:<12} {r.p95_low:>8.2f} {r.p95_high:>8.2f} "
+            f"{r.workload_id:<12} {r.p95_low_ms:>8.2f} {r.p95_high_ms:>8.2f} "
             f"{100 * r.latency_pct_change:>7.1f}% {r.latency_log_change:>8.2f} "
             f"{r.buoyancy_low:>8.2f} {r.buoyancy_high:>8.2f} "
             f"{100 * r.buoyancy_pct_change:>7.1f}% {r.buoyancy_log_change:>8.2f}"
@@ -255,12 +240,3 @@ def surface_points(
                     SurfacePoint(case=case, p=p, r=r, b=b, below_threshold=b <= threshold)
                 )
     return points
-
-
-def format_surface_csv(points: Sequence[SurfacePoint]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["case", "p", "r", "b", "below_threshold"])
-    for pt in points:
-        writer.writerow([pt.case, repr(pt.p), repr(pt.r), repr(pt.b), int(pt.below_threshold)])
-    return buf.getvalue()

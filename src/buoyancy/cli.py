@@ -18,9 +18,10 @@ import sys
 import threading
 
 from . import analysis, controller
-from .config import AgentConfig, plant_config_from_dict, read_json
-from .errors import BuoyancyError, ConfigError
+from .config import AgentConfig, build, plant_config_from_dict, read_json
+from .errors import BuoyancyError, CapacityExceeded, ConfigError
 from .server import report_to_json, serve
+from .sources import Allocation
 
 log = logging.getLogger(__name__)
 
@@ -70,8 +71,14 @@ def cmd_analyze(args) -> int:
         config = AgentConfig.from_file(args.slo)
         segments = None
         if args.segments:
-            raw = json.loads(args.segments)
-            segments = {k: (int(v[0]), int(v[1])) for k, v in raw.items()}
+            try:
+                raw = json.loads(args.segments)
+            except ValueError as exc:
+                raise ConfigError(f"--segments is not valid JSON: {exc}") from None
+            segments = build(dict[str, tuple[int, ...]], raw, "--segments")
+            for name, span in segments.items():
+                if len(span) != 2:
+                    raise ConfigError(f"--segments.{name}: expected [start, end], got {list(span)}")
         report = analysis.analyze_replay(args.input, config, segments=segments)
     else:
         report = analysis.analyze_medians(analysis.load_medians_file(args.input))
@@ -84,7 +91,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_surface(args) -> int:
     points = analysis.surface_points(alpha=args.alpha, step=args.step)
-    _write_out(analysis.format_surface_csv(points), args.out)
+    _write_out(analysis.format_csv(analysis.SurfacePoint, points), args.out)
     return 0
 
 
@@ -98,8 +105,16 @@ def cmd_controller_sim(args) -> int:
         raise ConfigError(
             f"controller.experiment.workload_id: {experiment.workload_id!r} is not in {args.plant!r}"
         )
+    widest = Allocation(cores=ctrl_config.max_cores, llc_kib=experiment.llc_alloc_kib)
+    try:
+        plant_config.check_capacity({experiment.workload_id: widest})
+    except CapacityExceeded as exc:
+        raise ConfigError(
+            f"controller: actuation_bounds.max_cores with experiment.llc_alloc_kib "
+            f"does not fit {args.plant!r}: {exc}"
+        ) from None
     records = controller.run_experiment(plant_config, ctrl_config, schedule, experiment)
-    _write_out(controller.format_records_csv(records), args.out)
+    _write_out(analysis.format_csv(controller.ControlRecord, records), args.out)
     summary = controller.summarize_runs(records)
     tail = summary[-1]
     sys.stderr.write(

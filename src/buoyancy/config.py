@@ -4,9 +4,9 @@
 any config dataclass from the decoded JSON by its fields: each field is
 read from the key of its name (or from the keys given by ``config_field``),
 an absent key takes the field's own default, ``float`` and ``int`` fields
-take finite JSON numbers only, and whatever the dataclass's
-``__post_init__`` rejects comes back as a ``ConfigError`` with its
-location. Range checks therefore live on the dataclasses that own the
+take only JSON numbers that convert to a finite float, and whatever the
+dataclass's ``__post_init__`` rejects comes back as a ``ConfigError`` with
+its location. Range checks therefore live on the dataclasses that own the
 fields, and a bad config fails here, before the first window is scored.
 """
 
@@ -73,8 +73,11 @@ def build(tp: Any, value: Any, where: str) -> Any:
     if tp in _EXPECTED:
         if tp is float or tp is int:
             number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if number and math.isfinite(value) and (tp is float or value == int(value)):
-                return tp(value)
+            try:
+                if number and math.isfinite(value) and (tp is float or value == int(value)):
+                    return tp(value)
+            except OverflowError:  # an integer too large for a float is not finite
+                pass
         elif isinstance(value, tp):
             return value
         raise ConfigError(f"{where}: expected {_EXPECTED[tp]}, got {json.dumps(value, default=repr)}")

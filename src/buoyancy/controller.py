@@ -14,11 +14,9 @@ each update is slew-limited to twice the perturbation amplitude so the
 integrator cannot slingshot across the latency knee.
 """
 
-import csv
-import io
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from .config import build, config_field, read_json
@@ -206,16 +204,7 @@ def run_experiment(
     records: list[ControlRecord] = []
     for rep in range(experiment.repetitions):
         seed = plant_config.seed + rep
-        plant = ContentionPlant(
-            PlantConfig(
-                workloads=plant_config.workloads,
-                topology=plant_config.topology,
-                total_cores=plant_config.total_cores,
-                seed=seed,
-                window_s=plant_config.window_s,
-                noise_sigma=plant_config.noise_sigma,
-            )
-        )
+        plant = ContentionPlant(replace(plant_config, seed=seed))
         engine = Engine(
             topology=plant_config.topology,
             node_cores=node_cores,
@@ -292,15 +281,6 @@ def summarize_runs(records: Sequence[ControlRecord]) -> list[WindowSummary]:
             )
         )
     return out
-
-
-def format_records_csv(records: Sequence[ControlRecord]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["window", "seed", "cores", "p95_ms", "buoyancy", "setpoint", "mode"])
-    for r in records:
-        writer.writerow([r.window, r.seed, r.cores, r.p95_ms, r.buoyancy, r.setpoint, r.mode])
-    return buf.getvalue()
 
 
 def controller_config_from_dict(obj: dict) -> tuple[ControllerConfig, ExperimentConfig]:

@@ -5,28 +5,31 @@ The output is a scrape-ready exposition: one gauge family per metric,
 and the mandatory ``# EOF`` trailer.
 """
 
+from operator import attrgetter
 from typing import Iterator
 
 from .engine import NodeReport
 
 CONTENT_TYPE = "application/openmetrics-text; version=1.0.0; charset=utf-8"
 
+#: One row per gauge family: (name, attribute path, help). The workload rows
+#: are read from each ``BuoyancyReport``, the node rows from the ``NodeReport``.
 _WORKLOAD_METRICS = (
-    ("resource_score_cpu", "CPU resource score of a workload."),
-    ("resource_score_llc", "Last-level-cache resource score of a workload."),
-    ("resource_score_mbw", "Memory-bandwidth resource score of a workload."),
-    ("perf_score", "SLO slack score of a workload."),
-    ("buoyancy_score", "Buoyancy (headroom) score of a workload."),
+    ("resource_score_cpu", "resource_scores.cpu", "CPU resource score of a workload."),
+    ("resource_score_llc", "resource_scores.llc", "Last-level-cache resource score of a workload."),
+    ("resource_score_mbw", "resource_scores.mbw", "Memory-bandwidth resource score of a workload."),
+    ("perf_score", "perf_score", "SLO slack score of a workload."),
+    ("buoyancy_score", "buoyancy", "Buoyancy (headroom) score of a workload."),
 )
 
 _NODE_METRICS = (
-    ("node_resource_score_cpu", "Node-level CPU resource score."),
-    ("node_resource_score_llc", "Node-level last-level-cache resource score."),
-    ("node_resource_score_mbw", "Node-level memory-bandwidth resource score."),
-    ("node_buoyancy", "Node-level buoyancy score."),
+    ("node_resource_score_cpu", "node_resource_scores.cpu", "Node-level CPU resource score."),
+    ("node_resource_score_llc", "node_resource_scores.llc", "Node-level last-level-cache resource score."),
+    ("node_resource_score_mbw", "node_resource_scores.mbw", "Node-level memory-bandwidth resource score."),
+    ("node_buoyancy", "node_buoyancy", "Node-level buoyancy score."),
 )
 
-METRIC_NAMES = tuple(n for n, _ in _WORKLOAD_METRICS + _NODE_METRICS)
+METRIC_NAMES = tuple(name for name, _, _ in _WORKLOAD_METRICS + _NODE_METRICS)
 
 
 def _escape_label(value: str) -> str:
@@ -56,31 +59,13 @@ def _family(name: str, help_text: str, samples: list[tuple[str, float]]) -> Iter
 
 def render_openmetrics(report: NodeReport) -> str:
     """Render one report snapshot as OpenMetrics text."""
+    labels = [f'{{workload_id="{_escape_label(wr.workload_id)}"}}' for wr in report.workload_reports]
     lines: list[str] = []
-    for name, help_text in _WORKLOAD_METRICS:
-        samples = []
-        for wr in report.workload_reports:
-            labels = f'{{workload_id="{_escape_label(wr.workload_id)}"}}'
-            if name == "resource_score_cpu":
-                value = wr.resource_scores.cpu
-            elif name == "resource_score_llc":
-                value = wr.resource_scores.llc
-            elif name == "resource_score_mbw":
-                value = wr.resource_scores.mbw
-            elif name == "perf_score":
-                value = wr.perf_score
-            else:
-                value = wr.buoyancy
-            samples.append((labels, float(value)))
+    for name, path, help_text in _WORKLOAD_METRICS:
+        get = attrgetter(path)
+        samples = [(label, float(get(wr))) for label, wr in zip(labels, report.workload_reports)]
         lines.extend(_family(name, help_text, samples))
-    node = report.node_resource_scores
-    node_values = {
-        "node_resource_score_cpu": node.cpu,
-        "node_resource_score_llc": node.llc,
-        "node_resource_score_mbw": node.mbw,
-        "node_buoyancy": report.node_buoyancy,
-    }
-    for name, help_text in _NODE_METRICS:
-        lines.extend(_family(name, help_text, [("", float(node_values[name]))]))
+    for name, path, help_text in _NODE_METRICS:
+        lines.extend(_family(name, help_text, [("", float(attrgetter(path)(report)))]))
     lines.append("# EOF")
     return "\n".join(lines) + "\n"

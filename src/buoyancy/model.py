@@ -5,7 +5,7 @@ functions. Cache sizes are carried in KiB and bandwidth in bytes/second;
 unit conversion belongs at interface boundaries, not here.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime
 from typing import Optional
 
@@ -35,18 +35,10 @@ class CacheTopology:
 
 def validate_topology(t: CacheTopology) -> CacheTopology:
     """Return ``t`` unchanged iff all geometry invariants hold."""
-    positive = (
-        ("l1_size_kib", t.l1_size_kib),
-        ("l2_size_kib", t.l2_size_kib),
-        ("l3_size_kib", t.l3_size_kib),
-        ("l3_ways", t.l3_ways),
-        ("mem_speed_mts", t.mem_speed_mts),
-        ("mem_bus_width_bytes", t.mem_bus_width_bytes),
-        ("mem_channels", t.mem_channels),
-    )
-    for name, value in positive:
+    for f in fields(t):
+        value = getattr(t, f.name)
         if not value > 0:
-            raise NonPositiveGeometry(f"{name} must be > 0, got {value}")
+            raise NonPositiveGeometry(f"{f.name} must be > 0, got {value}")
     if not (t.l1_size_kib < t.l2_size_kib < t.l3_size_kib):
         raise NonIncreasingCacheSizes(
             f"cache sizes must be strictly increasing, got "

@@ -109,29 +109,23 @@ class _Handler(BaseHTTPRequestHandler):
         if path == "/healthz":
             self._send(200, "ok")
             return
+        if path not in ("/metrics", "/v1/node") and not path.startswith("/v1/workloads/"):
+            self._send(404, "not found")
+            return
         report = self.agent.snapshot()
-        if path == "/metrics":
-            if report is None:
-                self._send(503, "no report yet")
-                return
+        if report is None:
+            self._send(503, "no report yet")
+        elif path == "/metrics":
             self._send(200, render_openmetrics(report), content_type=CONTENT_TYPE)
         elif path == "/v1/node":
-            if report is None:
-                self._send(503, "no report yet")
-                return
             self._send(200, report_to_json(report), content_type="application/json")
-        elif path.startswith("/v1/workloads/"):
-            if report is None:
-                self._send(503, "no report yet")
-                return
+        else:
             wid = path[len("/v1/workloads/"):]
             for wr in report.workload_reports:
                 if wr.workload_id == wid:
                     self._send(200, report_to_json(wr), content_type="application/json")
                     return
             self._send(404, f"unknown workload {wid!r}")
-        else:
-            self._send(404, "not found")
 
 
 def make_server(agent: MetricsAgent, host: str, port: int) -> ThreadingHTTPServer:

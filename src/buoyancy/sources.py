@@ -78,7 +78,8 @@ def parse_telemetry_record(obj: dict, strict: bool = True) -> TelemetrySample:
     """Build a TelemetrySample from one decoded JSONL object, checking its JSON shape.
 
     Value rules live on ``TelemetrySample``. ``json`` decodes ``NaN`` and
-    ``Infinity``, which are not JSON numbers, so they are rejected here.
+    ``Infinity``, which are not JSON numbers, and integers too large for a
+    float, so a number that is not a finite float is rejected here.
     """
     if not isinstance(obj, dict):
         raise SchemaError("<record>", "each line must be a JSON object")
@@ -99,26 +100,18 @@ def parse_telemetry_record(obj: dict, strict: bool = True) -> TelemetrySample:
             continue
         if isinstance(value, bool) or not isinstance(value, types):
             raise SchemaError(key, f"expected {types}, got {type(value).__name__}")
-        if isinstance(value, float) and not math.isfinite(value):
+        try:
+            finite = isinstance(value, str) or math.isfinite(value)
+        except OverflowError:  # an integer too large for a float
+            finite = False
+        if not finite:
             raise SchemaError(key, f"must be a finite number, got {value}")
         fields[key] = value
-    start = _parse_rfc3339(fields["window_start"], "window_start")
-    end = _parse_rfc3339(fields["window_end"], "window_end")
-    return TelemetrySample(
-        workload_id=fields["workload_id"],
-        window_start=start,
-        window_end=end,
-        cpu_user_time_s=float(fields["cpu_user_time_s"]),
-        cpu_alloc_cores=float(fields["cpu_alloc_cores"]),
-        mem_refs=fields["mem_refs"],
-        l1_miss=fields["l1_miss"],
-        l2_miss=fields["l2_miss"],
-        l3_miss=fields["l3_miss"],
-        mbw_bytes=fields["mbw_bytes"],
-        mbw_alloc_bytes_per_s=fields["mbw_alloc_bytes_per_s"],
-        llc_alloc_kib=fields["llc_alloc_kib"],
-        kpi_value=fields["kpi_value"],
-    )
+    fields["window_start"] = _parse_rfc3339(fields["window_start"], "window_start")
+    fields["window_end"] = _parse_rfc3339(fields["window_end"], "window_end")
+    fields["cpu_user_time_s"] = float(fields["cpu_user_time_s"])
+    fields["cpu_alloc_cores"] = float(fields["cpu_alloc_cores"])
+    return TelemetrySample(**fields)
 
 
 class ReplaySource:
@@ -146,7 +139,7 @@ class ReplaySource:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
                 raise ParseError(self._line_no, str(exc)) from None
             return parse_telemetry_record(obj, strict=self._strict)
 

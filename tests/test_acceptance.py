@@ -111,7 +111,7 @@ def test_criterion_1_headroom_table_reproduction():
     rows = {row.workload_id: row for row in report.rows}
     for name, p95_lo, p95_hi, lat_pct, lat_log, b_lo, b_hi, b_pct, b_log in REFERENCE_CELLS:
         row = rows[name]
-        assert (row.p95_low, row.p95_high) == (p95_lo, p95_hi)
+        assert (row.p95_low_ms, row.p95_high_ms) == (p95_lo, p95_hi)
         assert (row.buoyancy_low, row.buoyancy_high) == (b_lo, b_hi)
         checks = [
             ("latency %-change", row.latency_pct_change, lat_pct),

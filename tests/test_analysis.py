@@ -5,12 +5,13 @@ import math
 import pytest
 
 from buoyancy.analysis import (
+    SurfacePoint,
     WorkloadMedians,
     analyze_medians,
     analyze_replay,
+    format_csv,
     format_headroom_csv,
     format_headroom_table,
-    format_surface_csv,
     load_medians_file,
     surface_points,
 )
@@ -20,7 +21,7 @@ from buoyancy.server import AgentConfig
 from .conftest import record_dict, write_jsonl
 from .test_service import _agent_config_dict
 
-MOSES = WorkloadMedians("moses", p95_low=8.54, p95_high=11.43, buoyancy_low=0.42, buoyancy_high=0.23)
+MOSES = WorkloadMedians("moses", p95_low_ms=8.54, p95_high_ms=11.43, buoyancy_low=0.42, buoyancy_high=0.23)
 
 
 # ------------------------------------------------------------------ medians
@@ -102,7 +103,7 @@ def test_replay_analysis_matches_direct_computation(tmp_path, topo):
     config = AgentConfig.from_dict(_agent_config_dict(path))
     report = analyze_replay(path, config)
     row = report.rows[0]
-    assert row.p95_low == 4.0 and row.p95_high == 8.0
+    assert row.p95_low_ms == 4.0 and row.p95_high_ms == 8.0
     assert row.latency_log_change == pytest.approx(math.log(2.0), rel=1e-12)
     assert row.buoyancy_low > row.buoyancy_high > 0
 
@@ -111,8 +112,8 @@ def test_replay_analysis_explicit_segments(tmp_path, topo):
     path = _two_phase_replay(tmp_path, low_windows=2, high_windows=6)
     config = AgentConfig.from_dict(_agent_config_dict(path))
     report = analyze_replay(path, config, segments={"low": (0, 2), "high": (2, 8)})
-    assert report.rows[0].p95_low == 4.0
-    assert report.rows[0].p95_high == 8.0
+    assert report.rows[0].p95_low_ms == 4.0
+    assert report.rows[0].p95_high_ms == 8.0
 
 
 def test_replay_analysis_insufficient_windows(tmp_path):
@@ -200,7 +201,7 @@ def test_surface_step_validation():
 
 
 def test_surface_csv_roundtrip():
-    text = format_surface_csv(surface_points(step=0.5))
+    text = format_csv(SurfacePoint, surface_points(step=0.5))
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["case", "p", "r", "b", "below_threshold"]
     body = rows[1:]

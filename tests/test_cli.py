@@ -66,6 +66,20 @@ def test_analyze_cli_replay_needs_slo(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "segments",
+    ['{"low": [0, 2', "[1, 2]", '{"low": [0, "a"], "high": [2, 4]}', '{"low": [0], "high": [2, 4]}'],
+    ids=["malformed", "not-an-object", "not-an-integer", "one-bound"],
+)
+def test_analyze_cli_bad_segments_exit_1(tmp_path, capsys, segments):
+    replay = write_jsonl(tmp_path / "r.jsonl", [record_dict(window_index=i) for i in range(4)])
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(_agent_config_dict(replay)))
+    args = ["analyze", "--input", replay, "--slo", str(config_path), "--segments", segments]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_analyze_cli_insufficient_data_is_runtime_error(tmp_path, capsys):
     replay = write_jsonl(tmp_path / "r.jsonl", [record_dict(kpi_value=4.0)])
     config_path = tmp_path / "config.json"

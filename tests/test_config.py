@@ -55,6 +55,7 @@ BAD_CONFIGS = [
     ("agent-node-cores-zero", "agent_replay.json", ("node_cores",), 0, "config"),
     ("agent-node-cores-bool", "agent_replay.json", ("node_cores",), True, "config.node_cores"),
     ("agent-window-zero", "agent_replay.json", ("window_s",), 0, "config"),
+    ("agent-node-cores-huge", "agent_replay.json", ("node_cores",), 10**400, "config.node_cores"),
     ("agent-allocation-unknown-workload", "agent_plant.json", ("source", "allocations", "nope"),
      {"cores": 1}, "config"),
     ("agent-allocation-cores-zero", "agent_plant.json",
@@ -85,9 +86,13 @@ BAD_CONFIGS = [
      "controller.experiment"),
     ("experiment-initial-cores-zero", "controller_buoyancy.json", ("experiment", "initial_cores"), 0,
      "controller.experiment"),
+    ("experiment-llc-over-plant", "controller_buoyancy.json", ("experiment", "llc_alloc_kib"), 20000,
+     "controller"),
     ("ctrl-min-cores-zero", "controller_buoyancy.json", ("actuation_bounds", "min_cores"), 0,
      "controller"),
     ("ctrl-min-cores-negative", "controller_buoyancy.json", ("actuation_bounds", "min_cores"), -3,
+     "controller"),
+    ("ctrl-max-cores-over-plant", "controller_buoyancy.json", ("actuation_bounds", "max_cores"), 12,
      "controller"),
     ("schedule-level-above-one", "schedule_step.json", ("steps", 1, "level"), 1.5,
      "schedule.steps[1]"),

@@ -3,13 +3,13 @@ import statistics
 import pytest
 
 from buoyancy import PlantConfig, PlantWorkload, SloSpec, demo_plant_config
+from buoyancy.analysis import format_csv
 from buoyancy.controller import (
     ControlRecord,
     ControllerConfig,
     ExperimentConfig,
     InterferenceSchedule,
     controller_config_from_dict,
-    format_records_csv,
     run_experiment,
     summarize_runs,
 )
@@ -230,7 +230,7 @@ def test_records_csv_header():
     records = run_experiment(
         _plant(noise=0.0), ctrl, FLAT_SCHEDULE, _experiment(windows=8, repetitions=1)
     )
-    text = format_records_csv(records)
+    text = format_csv(ControlRecord, records)
     lines = text.strip().split("\n")
     assert lines[0] == "window,seed,cores,p95_ms,buoyancy,setpoint,mode"
     assert len(lines) == 9

@@ -198,9 +198,11 @@ def test_no_snapshot_yet_returns_503(tmp_path):
     thread.start()
     try:
         port = server.server_address[1]
-        with pytest.raises(urllib.error.HTTPError) as exc:
-            _get(f"http://127.0.0.1:{port}/metrics")
-        assert exc.value.code == 503
+        expected = {"/metrics": 503, "/v1/node": 503, "/v1/workloads/w1": 503, "/nope": 404}
+        for path, code in expected.items():
+            with pytest.raises(urllib.error.HTTPError) as exc:
+                _get(f"http://127.0.0.1:{port}{path}")
+            assert exc.value.code == code, path
     finally:
         server.shutdown()
         server.server_close()

@@ -47,6 +47,14 @@ def test_replay_truncated_line_reports_line_number(tmp_path):
     assert exc.value.line == 2
 
 
+def test_replay_integer_over_digit_limit_is_parse_error(tmp_path):
+    path = tmp_path / "digits.jsonl"
+    path.write_text(json.dumps(record_dict()).replace('"mem_refs": ', '"mem_refs": ' + "9" * 5000))
+    with pytest.raises(ParseError) as exc:
+        ReplaySource(str(path)).next_batch()
+    assert exc.value.line == 1
+
+
 def test_replay_negative_counter_names_field(tmp_path):
     path = write_jsonl(tmp_path / "neg.jsonl", [record_dict(l1_miss=-1)])
     with pytest.raises(SchemaError) as exc:
@@ -91,6 +99,10 @@ def test_replay_unknown_field_lenient_warns(tmp_path, caplog):
         pytest.param(
             lambda r: r.update(cpu_alloc_cores=math.nan), "cpu_alloc_cores", id="cpu_alloc_cores-nan"
         ),
+        pytest.param(
+            lambda r: r.update(cpu_user_time_s=10**400), "cpu_user_time_s", id="cpu_user_time_s-huge"
+        ),
+        pytest.param(lambda r: r.update(mbw_bytes=10**400), "mbw_bytes", id="mbw_bytes-huge"),
     ],
 )
 def test_replay_schema_violations(tmp_path, mutate, field):
