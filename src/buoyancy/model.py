@@ -98,7 +98,11 @@ class TelemetrySample:
         # The only home of a sample's value rules; ``not x > 0`` rejects NaN too.
         if not self.workload_id:
             raise SchemaError("workload_id", "must be non-empty")
-        if not self.window_end > self.window_start:
+        try:
+            ordered = self.window_end > self.window_start
+        except TypeError:  # one bound carries a UTC offset and the other does not
+            raise SchemaError("window_end", "both window bounds must carry a UTC offset, or neither") from None
+        if not ordered:
             raise SchemaError("window_end", "window must end after it starts")
         if not self.cpu_alloc_cores > 0:
             raise SchemaError("cpu_alloc_cores", "must be > 0")

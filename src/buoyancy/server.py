@@ -3,14 +3,14 @@
 One thread runs the engine at the configured window cadence and swaps a
 complete, immutable report snapshot into place after every step. HTTP
 handlers only ever read one snapshot reference, so scrapes never observe
-a half-written window.
+a half-written window. Each snapshot renders its ``/metrics`` and
+``/v1/node`` bodies on first read and shares them with later readers.
 
 Endpoints: ``/metrics`` (OpenMetrics text), ``/v1/node`` (JSON report),
 ``/v1/workloads/{id}`` (JSON per-workload report, 404 if unknown), and
 ``/healthz``.
 """
 
-import dataclasses
 import json
 import logging
 import threading
@@ -24,6 +24,7 @@ from .config import AgentConfig, plant_config_from_dict  # noqa: F401
 from .engine import Engine, NodeReport
 from .errors import BindError, EmptyNode
 from .exposition import CONTENT_TYPE, render_openmetrics
+from .model import BuoyancyReport, ResourceScores
 from .sources import ContentionPlant, PlantSource, ReplaySource
 
 log = logging.getLogger(__name__)
@@ -35,8 +36,70 @@ def _json_default(value):
     raise TypeError(f"not JSON serializable: {type(value)!r}")
 
 
+def _scores_dict(scores: ResourceScores) -> dict:
+    return {"cpu": scores.cpu, "llc": scores.llc, "mbw": scores.mbw}
+
+
+def _workload_dict(wr: BuoyancyReport) -> dict:
+    return {
+        "workload_id": wr.workload_id,
+        "perf_score": wr.perf_score,
+        "buoyancy": wr.buoyancy,
+        "resource_scores": _scores_dict(wr.resource_scores),
+        "approaching_violation": wr.approaching_violation,
+    }
+
+
+def _node_dict(report: NodeReport) -> dict:
+    return {
+        "node_resource_scores": _scores_dict(report.node_resource_scores),
+        "node_buoyancy": report.node_buoyancy,
+        "workload_reports": [_workload_dict(wr) for wr in report.workload_reports],
+        "window_start": report.window_start,
+        "window_end": report.window_end,
+    }
+
+
 def report_to_json(report) -> str:
-    return json.dumps(dataclasses.asdict(report), default=_json_default)
+    """A ``NodeReport`` or ``BuoyancyReport`` as JSON, keyed by field name in field order."""
+    as_dict = _node_dict if isinstance(report, NodeReport) else _workload_dict
+    return json.dumps(as_dict(report), default=_json_default)
+
+
+class Snapshot:
+    """One window's report and what the handlers serve from it.
+
+    The ``/metrics`` and ``/v1/node`` bodies and the id index are built on
+    first read and kept until the next window replaces the snapshot; the
+    lock makes concurrent first readers build each of them once.
+    """
+
+    __slots__ = ("report", "_lock", "_metrics", "_node", "_workloads")
+
+    def __init__(self, report: NodeReport):
+        self.report = report
+        self._lock = threading.Lock()
+        self._metrics = self._node = self._workloads = None
+
+    def _once(self, attr: str, build):
+        value = getattr(self, attr)
+        if value is None:
+            with self._lock:
+                value = getattr(self, attr)
+                if value is None:
+                    value = build()
+                    setattr(self, attr, value)
+        return value
+
+    def metrics_body(self) -> bytes:
+        return self._once("_metrics", lambda: render_openmetrics(self.report).encode("utf-8"))
+
+    def node_body(self) -> bytes:
+        return self._once("_node", lambda: report_to_json(self.report).encode("utf-8"))
+
+    def workload(self, workload_id: str) -> Optional[BuoyancyReport]:
+        index = self._once("_workloads", lambda: {wr.workload_id: wr for wr in self.report.workload_reports})
+        return index.get(workload_id)
 
 
 class MetricsAgent:
@@ -55,11 +118,16 @@ class MetricsAgent:
         else:
             plant = ContentionPlant(config.plant, interference=config.interference)
             self._source = PlantSource(plant, config.allocations)
-        self._snapshot: Optional[NodeReport] = None
+        self._snapshot: Optional[Snapshot] = None
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
 
     def snapshot(self) -> Optional[NodeReport]:
+        current = self._snapshot
+        return None if current is None else current.report
+
+    def current_snapshot(self) -> Optional[Snapshot]:
+        """The latest window with its rendered bodies, for the HTTP handlers."""
         return self._snapshot
 
     def step_once(self) -> bool:
@@ -68,7 +136,7 @@ class MetricsAgent:
         if batch is None:
             return False
         try:
-            self._snapshot = self.engine.step(batch)
+            self._snapshot = Snapshot(self.engine.step(batch))
         except EmptyNode:
             log.debug("empty window, keeping previous snapshot")
         return True
@@ -96,8 +164,7 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, fmt, *args):  # route http.server chatter to logging
         log.debug("http: " + fmt, *args)
 
-    def _send(self, status: int, body: str, content_type: str = "text/plain; charset=utf-8"):
-        payload = body.encode("utf-8")
+    def _send(self, status: int, payload: bytes, content_type: str = "text/plain; charset=utf-8"):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(payload)))
@@ -107,25 +174,25 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self):  # noqa: N802 (http.server API)
         path = self.path.split("?", 1)[0]
         if path == "/healthz":
-            self._send(200, "ok")
+            self._send(200, b"ok")
             return
         if path not in ("/metrics", "/v1/node") and not path.startswith("/v1/workloads/"):
-            self._send(404, "not found")
+            self._send(404, b"not found")
             return
-        report = self.agent.snapshot()
-        if report is None:
-            self._send(503, "no report yet")
+        snapshot = self.agent.current_snapshot()
+        if snapshot is None:
+            self._send(503, b"no report yet")
         elif path == "/metrics":
-            self._send(200, render_openmetrics(report), content_type=CONTENT_TYPE)
+            self._send(200, snapshot.metrics_body(), content_type=CONTENT_TYPE)
         elif path == "/v1/node":
-            self._send(200, report_to_json(report), content_type="application/json")
+            self._send(200, snapshot.node_body(), content_type="application/json")
         else:
             wid = path[len("/v1/workloads/"):]
-            for wr in report.workload_reports:
-                if wr.workload_id == wid:
-                    self._send(200, report_to_json(wr), content_type="application/json")
-                    return
-            self._send(404, f"unknown workload {wid!r}")
+            wr = snapshot.workload(wid)
+            if wr is None:
+                self._send(404, f"unknown workload {wid!r}".encode("utf-8"))
+            else:
+                self._send(200, report_to_json(wr).encode("utf-8"), content_type="application/json")
 
 
 def make_server(agent: MetricsAgent, host: str, port: int) -> ThreadingHTTPServer:

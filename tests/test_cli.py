@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import re
 import signal
 import subprocess
@@ -10,6 +11,7 @@ import urllib.request
 
 import pytest
 
+import buoyancy
 from buoyancy.cli import main
 
 from .conftest import record_dict, write_jsonl
@@ -169,3 +171,20 @@ def test_serve_end_to_end_subprocess(tmp_path):
         if proc.poll() is None:
             proc.kill()
             proc.communicate()
+
+
+def test_runtime_imports_without_numpy_or_hypothesis():
+    # A None entry in sys.modules makes every import of that name fail.
+    code = (
+        "import importlib, pkgutil, sys\n"
+        "sys.modules['numpy'] = sys.modules['hypothesis'] = None\n"
+        "import buoyancy\n"
+        "names = [m.name for m in pkgutil.iter_modules(buoyancy.__path__)]\n"
+        "for name in names:\n"
+        "    importlib.import_module('buoyancy.' + name)\n"
+        "print(' '.join(names))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(buoyancy.__file__)))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert {"cli", "config", "engine", "exposition", "scores", "server", "sources"} <= set(result.stdout.split())

@@ -1,18 +1,23 @@
+import dataclasses
 import json
+import math
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from buoyancy import Engine, SloSpec
+from buoyancy import BuoyancyReport, Engine, NodeReport, ResourceScores, SloSpec
+from buoyancy import server as server_module
 from buoyancy.exposition import CONTENT_TYPE, METRIC_NAMES, render_openmetrics
-from buoyancy.server import AgentConfig, MetricsAgent, make_server
+from buoyancy.server import AgentConfig, MetricsAgent, _json_default, make_server, report_to_json
 from buoyancy.errors import BindError, ConfigError
 
 from . import openmetrics
-from .conftest import make_sample, two_workload_replay
+from .conftest import EPOCH, make_sample, two_workload_replay
 
 
 def _agent_config_dict(replay_path, window_s=0.05):
@@ -101,6 +106,53 @@ def test_exposition_rejects_corrupted_text(topo):
         openmetrics.parse(text.replace(' 0.25', ' zero', 1))
     with pytest.raises(openmetrics.OpenMetricsParseError):
         openmetrics.parse("bad metric{ 1\n# EOF\n")
+
+
+# ---------------------------------------------------------------------- JSON
+
+_SCORES = ResourceScores(cpu=0.25, llc=0.5, mbw=0.75)
+
+
+def _workload(workload_id="w1", perf=0.5, buoyancy=0.3, scores=_SCORES, approaching=False):
+    return BuoyancyReport(workload_id, perf, buoyancy, scores, approaching)
+
+
+_SECOND = timedelta(seconds=1)
+
+JSON_REPORTS = [
+    pytest.param(
+        NodeReport(
+            ResourceScores(cpu=math.nan, llc=math.inf, mbw=-math.inf),
+            -math.inf,
+            [_workload(perf=math.nan, buoyancy=math.inf), _workload("w2", buoyancy=-math.inf, approaching=True)],
+            EPOCH,
+            EPOCH + _SECOND,
+        ),
+        id="non-finite",
+    ),
+    pytest.param(NodeReport(_SCORES, 0.5, [_workload()]), id="no-window"),
+    pytest.param(
+        NodeReport(_SCORES, 0.5, [], datetime(2026, 1, 1), datetime(2026, 1, 1, tzinfo=timezone(_SECOND * 3600))),
+        id="no-workloads",
+    ),
+    pytest.param(
+        NodeReport(
+            _SCORES,
+            0.5,
+            [_workload(wid) for wid in ('q"uote', "back\\slash", "new\nline", "n\u00f6n-\u00e4scii-\u2603")],
+            EPOCH,
+            EPOCH + _SECOND,
+        ),
+        id="escaped-ids",
+    ),
+    pytest.param(_workload("w\u00e9", perf=-0.5, buoyancy=-1.25, approaching=True), id="workload"),
+]
+
+
+@pytest.mark.parametrize("report", JSON_REPORTS)
+def test_report_to_json_matches_asdict(report):
+    # dataclasses.asdict is the reference that report_to_json replaced.
+    assert report_to_json(report) == json.dumps(dataclasses.asdict(report), default=_json_default)
 
 
 # -------------------------------------------------------------------- server
@@ -204,6 +256,71 @@ def test_no_snapshot_yet_returns_503(tmp_path):
                 _get(f"http://127.0.0.1:{port}{path}")
             assert exc.value.code == code, path
     finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_snapshot_renders_each_body_once(tmp_path, monkeypatch):
+    renders = []  # list.append is atomic, so handler threads may share it
+
+    def counting(name, render):
+        def wrapper(report):
+            renders.append((name, type(report)))
+            time.sleep(0.02)  # widen the window in which first readers overlap
+            return render(report)
+
+        return wrapper
+
+    monkeypatch.setattr(server_module, "render_openmetrics", counting("metrics", server_module.render_openmetrics))
+    monkeypatch.setattr(server_module, "report_to_json", counting("json", server_module.report_to_json))
+
+    def heavy_renders():
+        return renders.count(("metrics", NodeReport)), renders.count(("json", NodeReport))
+
+    replay = two_workload_replay(tmp_path / "t.jsonl", windows=3)
+    agent = MetricsAgent(AgentConfig.from_dict(_agent_config_dict(replay)))
+    server = make_server(agent, "127.0.0.1", 0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    base = f"http://127.0.0.1:{server.server_address[1]}"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert agent.step_once()
+        bodies = {"/metrics": [], "/v1/node": []}
+
+        def read(path):
+            bodies[path].append(_get(f"{base}{path}")[2])
+
+        readers = [threading.Thread(target=read, args=(path,)) for path in bodies for _ in range(4)]
+        for reader in readers:
+            reader.start()
+        for reader in readers:
+            reader.join(timeout=10.0)
+        assert not any(reader.is_alive() for reader in readers)
+        for _ in range(5):
+            for path in bodies:
+                read(path)
+        assert heavy_renders() == (1, 1)
+        assert all(len(set(seen)) == 1 and len(seen) == 9 for seen in bodies.values())
+        first_node = json.loads(bodies["/v1/node"][0])
+
+        assert agent.step_once()
+        report = agent.snapshot()
+        _, _, metrics = _get(f"{base}/metrics")
+        _, _, node = _get(f"{base}/v1/node")
+        assert heavy_renders() == (2, 2)
+        assert metrics == render_openmetrics(report) != bodies["/metrics"][0]
+        assert json.loads(node)["window_end"] == report.window_end.isoformat() != first_node["window_end"]
+
+        status, _, body = _get(f"{base}/v1/workloads/w2")
+        assert status == 200 and json.loads(body)["workload_id"] == "w2"
+        with pytest.raises(urllib.error.HTTPError) as exc:
+            _get(f"{base}/v1/workloads/ghost")
+        assert exc.value.code == 404
+        assert heavy_renders() == (2, 2)
+    finally:
+        sys.setswitchinterval(interval)
         server.shutdown()
         server.server_close()
 

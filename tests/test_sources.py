@@ -103,6 +103,9 @@ def test_replay_unknown_field_lenient_warns(tmp_path, caplog):
             lambda r: r.update(cpu_user_time_s=10**400), "cpu_user_time_s", id="cpu_user_time_s-huge"
         ),
         pytest.param(lambda r: r.update(mbw_bytes=10**400), "mbw_bytes", id="mbw_bytes-huge"),
+        pytest.param(
+            lambda r: r.update(window_start=r["window_start"].rstrip("Z")), "window_end", id="window-naive-aware"
+        ),
     ],
 )
 def test_replay_schema_violations(tmp_path, mutate, field):
