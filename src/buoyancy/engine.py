@@ -150,7 +150,7 @@ def log_change(low: float, high: float) -> float:
     return math.log(high / low)
 
 
-@dataclass
+@dataclass(slots=True)
 class _WorkloadState:
     scores: ResourceScores
     last_kpi: Optional[float] = None
@@ -180,20 +180,6 @@ class Engine:
         self.config = config or EngineConfig()
         self._state: dict[str, _WorkloadState] = {}
 
-    def _smooth(self, new: ResourceScores, old: ResourceScores) -> ResourceScores:
-        w = self.config.ema_factor
-        if w >= 1.0:
-            return new
-
-        def blend(n: float, o: float) -> float:
-            return w * n + (1.0 - w) * o
-
-        return ResourceScores(
-            cpu=blend(new.cpu, old.cpu),
-            llc=blend(new.llc, old.llc),
-            mbw=blend(new.mbw, old.mbw),
-        )
-
     def step(self, batch: Sequence[TelemetrySample]) -> NodeReport:
         """Score one window's batch (one sample per workload) into a report."""
         seen = set()
@@ -218,33 +204,53 @@ class Engine:
             raise EmptyNode("empty telemetry batch")
 
         cfg = self.config
+        alpha = cfg.alpha
+        threshold = cfg.violation_threshold
+        w = cfg.ema_factor
+        keep = 1.0 - w
+        smooth = w < 1.0
+        topology = self.topology
+        slos = self.slos
+        states = self._state
         reports: list[BuoyancyReport] = []
         scored: list[tuple[TelemetrySample, ResourceScores]] = []
         for sample in batch:
-            raw = score_workload(sample, self.topology)
-            prior = self._state.get(sample.workload_id)
-            scores = self._smooth(raw, prior.scores) if prior else raw
-
+            wid = sample.workload_id
+            scores = score_workload(sample, topology)
             kpi = sample.kpi_value
-            if kpi is None and prior is not None:
-                kpi = prior.last_kpi  # stale-KPI carry-forward
-            p = perf_score(kpi, self.slos.get(sample.workload_id))
-            b = buoyancy(p, scores, cfg.alpha)
+            state = states.get(wid)
+            if state is None:
+                states[wid] = _WorkloadState(scores=scores, last_kpi=kpi)
+            else:
+                if smooth:
+                    old = state.scores
+                    scores = ResourceScores(
+                        cpu=w * scores.cpu + keep * old.cpu,
+                        llc=w * scores.llc + keep * old.llc,
+                        mbw=w * scores.mbw + keep * old.mbw,
+                    )
+                if kpi is None:
+                    kpi = state.last_kpi  # stale-KPI carry-forward
+                state.scores = scores
+                state.last_kpi = kpi
+                state.missed_windows = 0
+
+            p = perf_score(kpi, slos.get(wid))
+            b = buoyancy(p, scores, alpha)
             reports.append(
                 BuoyancyReport(
-                    workload_id=sample.workload_id,
+                    workload_id=wid,
                     perf_score=p,
                     buoyancy=b,
                     resource_scores=scores,
-                    approaching_violation=b <= cfg.violation_threshold,
+                    approaching_violation=b <= threshold,
                 )
             )
             scored.append((sample, scores))
-            self._state[sample.workload_id] = _WorkloadState(scores=scores, last_kpi=kpi)
 
         return NodeReport(
             node_resource_scores=node_resource_scores(scored, self.topology, self.node_cores),
-            node_buoyancy=node_buoyancy([r.buoyancy for r in reports], cfg.alpha),
+            node_buoyancy=node_buoyancy([r.buoyancy for r in reports], alpha),
             workload_reports=reports,
             window_start=batch[0].window_start,
             window_end=batch[0].window_end,

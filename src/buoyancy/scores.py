@@ -18,6 +18,7 @@ the raw ratios past 1. Everything here is a pure function of one window,
 so a node agent can smooth or aggregate on top without surprises.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -50,9 +51,14 @@ class MrcFit:
         return self.coeff_a * self.exponent_b * x ** (self.exponent_b - 1.0)
 
 
-def cpu_score(sample: TelemetrySample) -> float:
-    """CPU score: user CPU seconds over allocated core-seconds, clamped to 1."""
-    t_alloc = sample.cpu_alloc_cores * sample.window_s
+def cpu_score(sample: TelemetrySample, window_s: Optional[float] = None) -> float:
+    """CPU score: user CPU seconds over allocated core-seconds, clamped to 1.
+
+    ``window_s`` is the sample's window length, when the caller has it.
+    """
+    if window_s is None:
+        window_s = sample.window_s
+    t_alloc = sample.cpu_alloc_cores * window_s
     return min(sample.cpu_user_time_s / t_alloc, 1.0)
 
 
@@ -94,6 +100,21 @@ def fit_power_law(sizes_kib: Sequence[float], ratios: Sequence[float]) -> MrcFit
     return MrcFit(coeff_a=math.exp(beta0), exponent_b=beta1)
 
 
+@functools.lru_cache(maxsize=1024)
+def _centred_log_sizes(l1_kib: float, l2_kib: float, s_eff_kib: float) -> Optional[tuple[tuple, float, float]]:
+    """The x side of the three-point fit: ``ln x_i - mean``, ``Sxx`` and ``mean ln x``.
+
+    None when the points coincide. The cache is bounded because
+    allocations come from telemetry.
+    """
+    log_x = (math.log(l1_kib), math.log(l2_kib), math.log(s_eff_kib))
+    mean_x = math.fsum(log_x) / 3
+    sxx = math.fsum((lx - mean_x) ** 2 for lx in log_x)
+    if sxx == 0.0:
+        return None
+    return tuple(lx - mean_x for lx in log_x), sxx, mean_x
+
+
 def fit_mrc(
     topology: CacheTopology,
     ratios: tuple[float, float, float],
@@ -103,11 +124,23 @@ def fit_mrc(
 
     The x coordinates are the L1 and L2 sizes plus the effective LLC
     size: the current allocation when one is set, the full L3 otherwise.
+    The arithmetic is that of ``fit_power_law``, step for step, so the
+    results are the same to the bit; only the x side is cached, per
+    (L1, L2, effective LLC) size.
     """
     s_eff = llc_alloc_kib if llc_alloc_kib is not None else topology.l3_size_kib
-    return fit_power_law(
-        (topology.l1_size_kib, topology.l2_size_kib, s_eff), ratios
-    )
+    m1, m2, m3 = ratios
+    x_side = _centred_log_sizes(topology.l1_size_kib, topology.l2_size_kib, s_eff)
+    if x_side is None or not (0.0 < m1 < math.inf and 0.0 < m2 < math.inf and 0.0 < m3 < math.inf):
+        return MrcFit(coeff_a=1.0, exponent_b=0.0, degenerate=True)
+    (dx1, dx2, dx3), sxx, mean_x = x_side
+    lm1, lm2, lm3 = math.log(m1), math.log(m2), math.log(m3)
+    mean_m = math.fsum((lm1, lm2, lm3)) / 3
+    beta1 = math.fsum((dx1 * (lm1 - mean_m), dx2 * (lm2 - mean_m), dx3 * (lm3 - mean_m))) / sxx
+    beta0 = mean_m - beta1 * mean_x
+    if beta1 >= 0.0:
+        return MrcFit(coeff_a=math.exp(beta0), exponent_b=0.0, degenerate=True)
+    return MrcFit(coeff_a=math.exp(beta0), exponent_b=beta1)
 
 
 def llc_score(fit: MrcFit, topology: CacheTopology, s_llc: float, m_llc: float) -> float:
@@ -123,12 +156,17 @@ def llc_score(fit: MrcFit, topology: CacheTopology, s_llc: float, m_llc: float) 
     return min(predicted_delta / m_llc, 1.0)
 
 
-def mbw_score(sample: TelemetrySample, topology: CacheTopology) -> float:
-    """Memory bandwidth score: current over allocated bytes/s, clamped."""
+def mbw_score(sample: TelemetrySample, topology: CacheTopology, window_s: Optional[float] = None) -> float:
+    """Memory bandwidth score: current over allocated bytes/s, clamped.
+
+    ``window_s`` is the sample's window length, when the caller has it.
+    """
+    if window_s is None:
+        window_s = sample.window_s
     alloc = sample.mbw_alloc_bytes_per_s
     if alloc is None:
         alloc = theoretical_max_mbw(topology)
-    current = sample.mbw_bytes / sample.window_s
+    current = sample.mbw_bytes / window_s
     return min(current / alloc, 1.0)
 
 
@@ -138,12 +176,14 @@ def score_workload(sample: TelemetrySample, topology: CacheTopology) -> Resource
     A window with no memory references scores 0 on LLC while CPU and MBW
     are computed as usual.
     """
-    cpu = cpu_score(sample)
-    mbw = mbw_score(sample, topology)
+    window_s = sample.window_s
+    cpu = cpu_score(sample, window_s)
+    mbw = mbw_score(sample, topology, window_s)
     if sample.mem_refs <= 0:
         return ResourceScores(cpu=cpu, llc=0.0, mbw=mbw)
     ratios = miss_ratios(sample)
-    fit = fit_mrc(topology, ratios, sample.llc_alloc_kib)
-    s_llc = sample.llc_alloc_kib if sample.llc_alloc_kib is not None else topology.l3_size_kib
+    s_alloc = sample.llc_alloc_kib
+    fit = fit_mrc(topology, ratios, s_alloc)
+    s_llc = s_alloc if s_alloc is not None else topology.l3_size_kib
     llc = llc_score(fit, topology, s_llc, ratios[2])
     return ResourceScores(cpu=cpu, llc=llc, mbw=mbw)

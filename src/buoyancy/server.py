@@ -153,9 +153,12 @@ class MetricsAgent:
         self._thread.start()
 
     def stop(self):
+        """Stop the engine loop and, once it has ended, close the source."""
         self._stop.set()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
+        if self._thread is None or not self._thread.is_alive():
+            self._source.close()
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -66,6 +66,14 @@ _SCHEMA = {
     "kpi_value": ((int, float), True),
 }
 
+#: One row per ``_SCHEMA`` field: (field, the exact types accepted, allow
+#: null, the start of its type error). Testing ``type(value)`` against
+#: exact types is one check, and keeps a bool from passing as an int.
+_CHECKS = tuple(
+    (key, types if isinstance(types, tuple) else (types,), nullable, f"expected {types}, got ")
+    for key, (types, nullable) in _SCHEMA.items()
+)
+
 
 def _parse_rfc3339(value: str, field: str) -> datetime:
     try:
@@ -83,29 +91,31 @@ def parse_telemetry_record(obj: dict, strict: bool = True) -> TelemetrySample:
     """
     if not isinstance(obj, dict):
         raise SchemaError("<record>", "each line must be a JSON object")
-    for key in obj:
-        if key not in _SCHEMA:
-            if strict:
-                raise SchemaError(key, "unknown field")
-            log.warning("ignoring unknown telemetry field %r", key)
+    if obj.keys() != _SCHEMA.keys():
+        for key in obj:
+            if key not in _SCHEMA:
+                if strict:
+                    raise SchemaError(key, "unknown field")
+                log.warning("ignoring unknown telemetry field %r", key)
     fields = {}
-    for key, (types, nullable) in _SCHEMA.items():
-        if key not in obj:
-            raise SchemaError(key, "missing")
-        value = obj[key]
-        if value is None:
+    for key, exact, nullable, expected in _CHECKS:
+        try:
+            value = obj[key]
+        except KeyError:
+            raise SchemaError(key, "missing") from None
+        kind = type(value)
+        if kind not in exact:
+            if value is not None:
+                raise SchemaError(key, expected + kind.__name__)
             if not nullable:
                 raise SchemaError(key, "must not be null")
-            fields[key] = None
-            continue
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise SchemaError(key, f"expected {types}, got {type(value).__name__}")
-        try:
-            finite = isinstance(value, str) or math.isfinite(value)
-        except OverflowError:  # an integer too large for a float
-            finite = False
-        if not finite:
-            raise SchemaError(key, f"must be a finite number, got {value}")
+        elif kind is not str:
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an integer too large for a float
+                finite = False
+            if not finite:
+                raise SchemaError(key, f"must be a finite number, got {value}")
         fields[key] = value
     fields["window_start"] = _parse_rfc3339(fields["window_start"], "window_start")
     fields["window_end"] = _parse_rfc3339(fields["window_end"], "window_end")
@@ -119,10 +129,12 @@ class ReplaySource:
 
     One JSON object per workload-window per line; consecutive lines with
     the same (window_start, window_end) form one batch, in file order.
+    A file opened from a path is closed once the stream ends.
     """
 
     def __init__(self, source: Union[str, IO[str]], strict: bool = True):
-        self._fh = open(source, "r", encoding="utf-8") if isinstance(source, str) else source
+        self._owns_fh = isinstance(source, str)
+        self._fh = open(source, "r", encoding="utf-8") if self._owns_fh else source
         self._strict = strict
         self._line_no = 0
         self._pending: Optional[TelemetrySample] = None
@@ -152,14 +164,14 @@ class ReplaySource:
         """
         if self._pending_error is not None:
             error, self._pending_error = self._pending_error, None
-            self._exhausted = True
+            self._finish()
             raise error
         if self._exhausted:
             return None
         first = self._pending if self._pending is not None else self._read_sample()
         self._pending = None
         if first is None:
-            self._exhausted = True
+            self._finish()
             return None
         batch = [first]
         window = (first.window_start, first.window_end)
@@ -170,13 +182,18 @@ class ReplaySource:
                 self._pending_error = exc
                 break
             if sample is None:
-                self._exhausted = True
+                self._finish()
                 break
             if (sample.window_start, sample.window_end) != window:
                 self._pending = sample
                 break
             batch.append(sample)
         return batch
+
+    def _finish(self):
+        self._exhausted = True
+        if self._owns_fh:
+            self._fh.close()
 
     def __iter__(self):
         while True:
@@ -383,6 +400,9 @@ class PlantSource:
             self._remaining -= 1
         batch, _ = self._plant.step(self._allocations)
         return batch
+
+    def close(self):
+        """Nothing to release; every source has ``close``."""
 
 
 def demo_plant_config(seed: int = 0, noise_sigma: float = 0.01) -> PlantConfig:

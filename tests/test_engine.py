@@ -1,3 +1,4 @@
+import copy
 import math
 
 import pytest
@@ -314,6 +315,27 @@ def test_step_expires_departed_workloads(topo):
         assert "w2" in engine.tracked_workloads  # 3 misses tolerated
     engine.step([make_sample(window_index=4)])
     assert engine.tracked_workloads == ["w1"]
+
+
+def test_step_return_resets_missed_windows(topo):
+    engine = _engine(topo)
+    present = {0, 4}  # w2 misses 1-3, returns at 4, then misses from 5 on
+    for i in range(9):
+        ids = ("w1", "w2") if i in present else ("w1",)
+        engine.step([make_sample(workload_id=w, window_index=i) for w in ids])
+        assert ("w2" in engine.tracked_workloads) == (i < 8), i  # dropped at the 4th miss after returning
+
+
+def test_step_reports_unchanged_by_later_steps(topo):
+    engine = _engine(topo, config=EngineConfig(ema_factor=0.5))
+    first = engine.step([make_sample(kpi_value=5.0), make_sample(workload_id="w2")])
+    before = copy.deepcopy(first)
+    for i in range(1, 4):
+        engine.step([
+            make_sample(window_index=i, cpu_user_time_s=0.1 * i, kpi_value=None),
+            make_sample(workload_id="w2", window_index=i, cpu_user_time_s=1.5),
+        ])
+    assert first == before
 
 
 def test_step_report_order_follows_batch(topo):

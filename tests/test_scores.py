@@ -1,12 +1,13 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from buoyancy import (
     MrcFit,
     NoMemoryTraffic,
+    ResourceScores,
     cpu_score,
     fit_mrc,
     fit_power_law,
@@ -20,6 +21,10 @@ from .conftest import TABLE_TOPO, make_sample
 from .oracles import ols_loglog
 
 TABLE_SIZES = (80.0, 1280.0, 12288.0)
+
+#: Every effective LLC size the benchmark's replays produce (no allocation,
+#: or 1 to 12 whole ways) plus one allocation that is no whole number of ways.
+LLC_ALLOCATIONS = [None] + [ways * 1024.0 for ways in range(1, 13)] + [3000.5]
 
 
 # ---------------------------------------------------------------- cpu score
@@ -144,6 +149,39 @@ def test_fit_recovery_property(a, b):
     fit = fit_mrc(TABLE_TOPO, ratios)
     assert fit.coeff_a == pytest.approx(a, rel=1e-9)
     assert fit.exponent_b == pytest.approx(b, rel=1e-9)
+
+
+# fit_mrc and score_workload repeat the arithmetic of fit_power_law and
+# llc_score step for step, caching only the x side, so the reference
+# results must come back equal, not merely close.
+
+@settings(max_examples=300)
+@given(
+    ratios=st.tuples(*[st.floats(1e-6, 1.0, exclude_min=True)] * 3),
+    llc_alloc_kib=st.sampled_from(LLC_ALLOCATIONS),
+)
+@example(ratios=(0.1, 0.1, 0.1), llc_alloc_kib=None)
+@example(ratios=(0.1, 0.1, 0.1), llc_alloc_kib=3000.5)
+def test_fit_mrc_matches_fit_power_law(ratios, llc_alloc_kib):
+    s_eff = llc_alloc_kib if llc_alloc_kib is not None else TABLE_TOPO.l3_size_kib
+    assert fit_mrc(TABLE_TOPO, ratios, llc_alloc_kib) == fit_power_law((80.0, 1280.0, s_eff), ratios)
+
+
+@settings(max_examples=300)
+@given(
+    misses=st.tuples(*[st.integers(1_000, 10**9)] * 3),
+    llc_alloc_kib=st.sampled_from(LLC_ALLOCATIONS),
+)
+@example(misses=(10**8, 10**8, 10**8), llc_alloc_kib=None)
+def test_score_workload_matches_reference(misses, llc_alloc_kib):
+    sample = make_sample(
+        mem_refs=10**9, l1_miss=misses[0], l2_miss=misses[1], l3_miss=misses[2], llc_alloc_kib=llc_alloc_kib
+    )
+    ratios = miss_ratios(sample)
+    s_eff = llc_alloc_kib if llc_alloc_kib is not None else TABLE_TOPO.l3_size_kib
+    llc = llc_score(fit_power_law((80.0, 1280.0, s_eff), ratios), TABLE_TOPO, s_eff, ratios[2])
+    expected = ResourceScores(cpu=cpu_score(sample), llc=llc, mbw=mbw_score(sample, TABLE_TOPO))
+    assert score_workload(sample, TABLE_TOPO) == expected
 
 
 # ---------------------------------------------------------------- llc score

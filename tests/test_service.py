@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import math
 import sys
@@ -6,6 +7,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+import warnings
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -258,6 +260,7 @@ def test_no_snapshot_yet_returns_503(tmp_path):
     finally:
         server.shutdown()
         server.server_close()
+        agent.stop()
 
 
 def test_snapshot_renders_each_body_once(tmp_path, monkeypatch):
@@ -334,6 +337,27 @@ def test_agent_serves_last_snapshot_after_replay_ends(tmp_path):
     assert agent.snapshot() is not None
 
 
+def test_replay_agent_closes_its_file(tmp_path, monkeypatch):
+    # An unclosed file warns when it is freed, inside a destructor, so the
+    # error reaches sys.unraisablehook instead of being raised.
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    replay = two_workload_replay(tmp_path / "t.jsonl", windows=2)
+    config = AgentConfig.from_dict(_agent_config_dict(replay))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        drained = MetricsAgent(config)
+        while drained.step_once():
+            pass
+        stopped = MetricsAgent(config)
+        assert stopped.step_once()
+        stopped.stop()
+        del drained, stopped
+        gc.collect()
+    # Earlier tests may leave sockets for this collection to free; only the replay counts.
+    assert [str(u.exc_value) for u in unraisable if replay in str(u.exc_value)] == []
+
+
 def test_bind_error(tmp_path):
     replay = two_workload_replay(tmp_path / "t.jsonl", windows=1)
     config = AgentConfig.from_dict(_agent_config_dict(replay))
@@ -345,6 +369,7 @@ def test_bind_error(tmp_path):
             make_server(agent, "127.0.0.1", port)
     finally:
         server.server_close()
+        agent.stop()
 
 
 # -------------------------------------------------------------------- config

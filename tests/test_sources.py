@@ -106,6 +106,13 @@ def test_replay_unknown_field_lenient_warns(tmp_path, caplog):
         pytest.param(
             lambda r: r.update(window_start=r["window_start"].rstrip("Z")), "window_end", id="window-naive-aware"
         ),
+        pytest.param(lambda r: r.update(cpu_alloc_cores="4"), "cpu_alloc_cores", id="cpu_alloc_cores-str"),
+        pytest.param(lambda r: r.update(workload_id=7), "workload_id", id="workload_id-int"),
+        pytest.param(
+            lambda r: r.update(mbw_alloc_bytes_per_s=1.5), "mbw_alloc_bytes_per_s", id="mbw_alloc_bytes_per_s-float"
+        ),
+        pytest.param(lambda r: r.update(llc_alloc_kib=False), "llc_alloc_kib", id="llc_alloc_kib-bool"),
+        pytest.param(lambda r: r.update(kpi_value=[1.0]), "kpi_value", id="kpi_value-list"),
     ],
 )
 def test_replay_schema_violations(tmp_path, mutate, field):
