@@ -199,7 +199,6 @@ def run_experiment(
 ) -> list[ControlRecord]:
     """Closed-loop runs over seeded repetitions; returns every window record."""
     wid = experiment.workload_id
-    plant_config.workload(wid)  # validate the id early
     node_cores = plant_config.total_cores if experiment.node_cores is None else experiment.node_cores
     records: list[ControlRecord] = []
     for rep in range(experiment.repetitions):

@@ -32,10 +32,11 @@ class MrcFit:
     """Power-law miss-ratio curve ``f(x) = coeff_a * x**exponent_b``.
 
     ``degenerate`` is set when the inputs cannot produce a decreasing
-    curve (any non-positive or non-finite miss ratio, or a fitted
-    exponent >= 0). Degenerate fits always carry exponent_b == 0 so the
-    LLC score collapses to 0 instead of raising; scoring has to keep
-    working online even when counters misbehave for a window.
+    curve (any non-positive or non-finite miss ratio, equal miss ratios,
+    or a fitted exponent >= 0). Degenerate fits always carry
+    exponent_b == 0 so the LLC score collapses to 0 instead of raising;
+    scoring has to keep working online even when counters misbehave for
+    a window.
     """
 
     coeff_a: float
@@ -74,9 +75,11 @@ def fit_power_law(sizes_kib: Sequence[float], ratios: Sequence[float]) -> MrcFit
     """OLS fit of ``ln M = b0 + b1 ln x`` over n >= 2 points.
 
     Returns MrcFit(a=e**b0, b=b1). Any non-positive or non-finite ratio,
-    or a non-negative fitted slope, yields a degenerate fit instead of an
-    error (a is kept from b0 when computable so callers can still inspect
-    the level).
+    all ratios equal, or a non-negative fitted slope, yields a degenerate
+    fit instead of an error (a is kept from b0 when computable so callers
+    can still inspect the level). Equal ratios are tested directly: the
+    mean of their logs can miss the log in the last bit and leave a tiny
+    negative slope.
     """
     if len(sizes_kib) != len(ratios) or len(sizes_kib) < 2:
         raise ValueError("need n >= 2 matched (size, ratio) points")
@@ -95,7 +98,7 @@ def fit_power_law(sizes_kib: Sequence[float], ratios: Sequence[float]) -> MrcFit
 
     beta1 = sxm / sxx
     beta0 = mean_m - beta1 * mean_x
-    if beta1 >= 0.0:
+    if beta1 >= 0.0 or min(ratios) == max(ratios):
         return MrcFit(coeff_a=math.exp(beta0), exponent_b=0.0, degenerate=True)
     return MrcFit(coeff_a=math.exp(beta0), exponent_b=beta1)
 
@@ -138,7 +141,7 @@ def fit_mrc(
     mean_m = math.fsum((lm1, lm2, lm3)) / 3
     beta1 = math.fsum((dx1 * (lm1 - mean_m), dx2 * (lm2 - mean_m), dx3 * (lm3 - mean_m))) / sxx
     beta0 = mean_m - beta1 * mean_x
-    if beta1 >= 0.0:
+    if beta1 >= 0.0 or m1 == m2 == m3:
         return MrcFit(coeff_a=math.exp(beta0), exponent_b=0.0, degenerate=True)
     return MrcFit(coeff_a=math.exp(beta0), exponent_b=beta1)
 

@@ -28,7 +28,7 @@ import math
 import random
 from dataclasses import dataclass, field as dc_field
 from datetime import datetime, timedelta, timezone
-from typing import IO, Mapping, Optional, Union
+from typing import IO, Iterator, Mapping, Optional
 
 from .errors import CapacityExceeded, ParseError, SchemaError
 from .model import CacheTopology, TelemetrySample, validate_topology
@@ -124,85 +124,60 @@ def parse_telemetry_record(obj: dict, strict: bool = True) -> TelemetrySample:
     return TelemetrySample(**fields)
 
 
+def _read_batches(fh: IO[str], strict: bool) -> Iterator[list[TelemetrySample]]:
+    """Yield each window's samples from a JSONL file, closing it on every end.
+
+    Window boundaries show only one record ahead, so on a bad line the
+    batch read before it is yielded first; the error then ends the stream.
+    """
+    with fh:
+        batch: list[TelemetrySample] = []
+        window = None
+        try:
+            for line_no, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
+                    raise ParseError(line_no, str(exc)) from None
+                sample = parse_telemetry_record(obj, strict=strict)
+                if (sample.window_start, sample.window_end) != window:
+                    if batch:
+                        yield batch
+                    batch = []
+                    window = (sample.window_start, sample.window_end)
+                batch.append(sample)
+        except (ParseError, SchemaError):
+            if batch:
+                yield batch
+            raise
+        if batch:
+            yield batch
+
+
 class ReplaySource:
     """Deterministic replay of a JSONL telemetry file.
 
     One JSON object per workload-window per line; consecutive lines with
     the same (window_start, window_end) form one batch, in file order.
-    A file opened from a path is closed once the stream ends.
+    A bad line ends the stream after the batch before it. The file is
+    closed at end of stream, on an error, and by ``close()``.
     """
 
-    def __init__(self, source: Union[str, IO[str]], strict: bool = True):
-        self._owns_fh = isinstance(source, str)
-        self._fh = open(source, "r", encoding="utf-8") if self._owns_fh else source
-        self._strict = strict
-        self._line_no = 0
-        self._pending: Optional[TelemetrySample] = None
-        self._pending_error: Optional[Exception] = None
-        self._exhausted = False
-
-    def _read_sample(self) -> Optional[TelemetrySample]:
-        while True:
-            line = self._fh.readline()
-            if line == "":
-                return None
-            self._line_no += 1
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
-                raise ParseError(self._line_no, str(exc)) from None
-            return parse_telemetry_record(obj, strict=self._strict)
+    def __init__(self, path: str, strict: bool = True):
+        self._fh = open(path, "r", encoding="utf-8")
+        self._batches = _read_batches(self._fh, strict)
 
     def next_batch(self) -> Optional[list[TelemetrySample]]:
-        """Return the next window's samples, or None at end of stream.
-
-        Window boundaries are only visible one record ahead, so an error
-        hit while looking ahead is held back until the batch before it
-        has been delivered.
-        """
-        if self._pending_error is not None:
-            error, self._pending_error = self._pending_error, None
-            self._finish()
-            raise error
-        if self._exhausted:
-            return None
-        first = self._pending if self._pending is not None else self._read_sample()
-        self._pending = None
-        if first is None:
-            self._finish()
-            return None
-        batch = [first]
-        window = (first.window_start, first.window_end)
-        while True:
-            try:
-                sample = self._read_sample()
-            except (ParseError, SchemaError) as exc:
-                self._pending_error = exc
-                break
-            if sample is None:
-                self._finish()
-                break
-            if (sample.window_start, sample.window_end) != window:
-                self._pending = sample
-                break
-            batch.append(sample)
-        return batch
-
-    def _finish(self):
-        self._exhausted = True
-        if self._owns_fh:
-            self._fh.close()
+        """Return the next window's samples, or None at end of stream."""
+        return next(self._batches, None)
 
     def __iter__(self):
-        while True:
-            batch = self.next_batch()
-            if batch is None:
-                return
-            yield batch
+        return iter(self.next_batch, None)
 
     def close(self):
+        self._batches.close()
         self._fh.close()
 
 
@@ -333,13 +308,13 @@ class ContentionPlant:
         cfg = self.config
         topo = cfg.topology
         cfg.check_capacity(allocations)
+        if not 0.0 <= self.interference <= 1.0:
+            raise ValueError("interference must be in [0, 1]")
 
         window = cfg.window_s
         start = _EPOCH + timedelta(seconds=self._window_index * window)
         end = start + timedelta(seconds=window)
         self._window_index += 1
-        if not 0.0 <= self.interference <= 1.0:
-            raise ValueError("interference must be in [0, 1]")
 
         samples: list[TelemetrySample] = []
         true_latency: dict[str, float] = {}
@@ -383,21 +358,11 @@ class ContentionPlant:
 class PlantSource:
     """Adapter driving a plant with fixed allocations, as a sample source."""
 
-    def __init__(
-        self,
-        plant: ContentionPlant,
-        allocations: Mapping[str, Allocation],
-        windows: Optional[int] = None,
-    ):
+    def __init__(self, plant: ContentionPlant, allocations: Mapping[str, Allocation]):
         self._plant = plant
         self._allocations = dict(allocations)
-        self._remaining = windows
 
-    def next_batch(self) -> Optional[list[TelemetrySample]]:
-        if self._remaining is not None:
-            if self._remaining <= 0:
-                return None
-            self._remaining -= 1
+    def next_batch(self) -> list[TelemetrySample]:
         batch, _ = self._plant.step(self._allocations)
         return batch
 

@@ -1,4 +1,8 @@
+import contextlib
+import gc
 import json
+import sys
+import warnings
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -23,6 +27,21 @@ TABLE_TOPO = CacheTopology(
 @pytest.fixture
 def topo():
     return TABLE_TOPO
+
+
+@contextlib.contextmanager
+def no_unclosed_file(monkeypatch, path):
+    """Fail if a file at ``path`` is freed while still open, within the block."""
+    # An unclosed file warns when it is freed, inside a destructor, so the
+    # error reaches sys.unraisablehook instead of being raised.
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        yield
+        gc.collect()
+    # Earlier tests may leave sockets for this collection to free; only the file counts.
+    assert [str(u.exc_value) for u in unraisable if str(path) in str(u.exc_value)] == []
 
 
 def make_sample(

@@ -91,9 +91,14 @@ def test_fit_on_rounded_published_points(topo):
 
 
 def test_flat_curve_is_degenerate(topo):
-    fit = fit_mrc(topo, (0.1, 0.1, 0.1))
-    assert fit.degenerate
-    assert fit.exponent_b == 0.0
+    # The mean of three equal logs can miss the log in the last bit, so a
+    # flat curve can fit a tiny negative slope, as (0.95, 0.95, 0.95) does.
+    for ratios in ((0.1,) * 3, (0.95,) * 3, (1e-6,) * 3, (1.0,) * 3):
+        for llc_alloc_kib in (None, 2048.0, 3000.5):
+            s_eff = llc_alloc_kib if llc_alloc_kib is not None else topo.l3_size_kib
+            for fit in (fit_mrc(topo, ratios, llc_alloc_kib), fit_power_law((80.0, 1280.0, s_eff), ratios)):
+                assert fit.degenerate
+                assert fit.exponent_b == 0.0
 
 
 def test_zero_ratio_is_degenerate(topo):
@@ -162,6 +167,9 @@ def test_fit_recovery_property(a, b):
 )
 @example(ratios=(0.1, 0.1, 0.1), llc_alloc_kib=None)
 @example(ratios=(0.1, 0.1, 0.1), llc_alloc_kib=3000.5)
+@example(ratios=(0.95, 0.95, 0.95), llc_alloc_kib=None)
+@example(ratios=(0.95, 0.95, 0.95), llc_alloc_kib=2048.0)
+@example(ratios=(1.0, 1.0, 1.0), llc_alloc_kib=None)
 def test_fit_mrc_matches_fit_power_law(ratios, llc_alloc_kib):
     s_eff = llc_alloc_kib if llc_alloc_kib is not None else TABLE_TOPO.l3_size_kib
     assert fit_mrc(TABLE_TOPO, ratios, llc_alloc_kib) == fit_power_law((80.0, 1280.0, s_eff), ratios)

@@ -1,5 +1,4 @@
 import dataclasses
-import gc
 import json
 import math
 import sys
@@ -7,7 +6,6 @@ import threading
 import time
 import urllib.error
 import urllib.request
-import warnings
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -19,7 +17,7 @@ from buoyancy.server import AgentConfig, MetricsAgent, _json_default, make_serve
 from buoyancy.errors import BindError, ConfigError
 
 from . import openmetrics
-from .conftest import EPOCH, make_sample, two_workload_replay
+from .conftest import EPOCH, make_sample, no_unclosed_file, two_workload_replay
 
 
 def _agent_config_dict(replay_path, window_s=0.05):
@@ -338,14 +336,9 @@ def test_agent_serves_last_snapshot_after_replay_ends(tmp_path):
 
 
 def test_replay_agent_closes_its_file(tmp_path, monkeypatch):
-    # An unclosed file warns when it is freed, inside a destructor, so the
-    # error reaches sys.unraisablehook instead of being raised.
-    unraisable = []
-    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
     replay = two_workload_replay(tmp_path / "t.jsonl", windows=2)
     config = AgentConfig.from_dict(_agent_config_dict(replay))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", ResourceWarning)
+    with no_unclosed_file(monkeypatch, replay):
         drained = MetricsAgent(config)
         while drained.step_once():
             pass
@@ -353,9 +346,6 @@ def test_replay_agent_closes_its_file(tmp_path, monkeypatch):
         assert stopped.step_once()
         stopped.stop()
         del drained, stopped
-        gc.collect()
-    # Earlier tests may leave sockets for this collection to free; only the replay counts.
-    assert [str(u.exc_value) for u in unraisable if replay in str(u.exc_value)] == []
 
 
 def test_bind_error(tmp_path):

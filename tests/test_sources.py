@@ -11,7 +11,6 @@ from buoyancy import (
     Engine,
     ParseError,
     PlantConfig,
-    PlantSource,
     PlantWorkload,
     ReplaySource,
     SchemaError,
@@ -20,8 +19,9 @@ from buoyancy import (
     fit_mrc,
     miss_ratios,
 )
+from buoyancy.sources import parse_telemetry_record
 
-from .conftest import record_dict, two_workload_replay, write_jsonl
+from .conftest import no_unclosed_file, record_dict, two_workload_replay, write_jsonl
 
 
 # -------------------------------------------------------------------- replay
@@ -122,6 +122,65 @@ def test_replay_schema_violations(tmp_path, mutate, field):
     with pytest.raises(SchemaError) as exc:
         ReplaySource(path).next_batch()
     assert exc.value.field == field
+
+
+_GOOD = [record_dict(workload_id="w1"), record_dict(workload_id="w2")]
+
+
+@pytest.mark.parametrize(
+    "lines,delivered,error,where",
+    [
+        pytest.param(
+            [json.dumps(record_dict(l1_miss=-1)), json.dumps(record_dict(window_index=1))],
+            [],
+            SchemaError,
+            ("field", "l1_miss"),
+            id="bad-first-record",
+        ),
+        pytest.param(
+            [json.dumps(r) for r in _GOOD] + [json.dumps(record_dict(window_index=1, mem_refs=1.5))],
+            _GOOD,
+            SchemaError,
+            ("field", "mem_refs"),
+            id="bad-look-ahead-record",
+        ),
+        pytest.param(
+            [json.dumps(r) for r in _GOOD] + ['{"workload_id": "w1", "window_start"'],
+            _GOOD,
+            ParseError,
+            ("line", 3),
+            id="truncated-line",
+        ),
+    ],
+)
+def test_replay_bad_line_ends_stream(tmp_path, monkeypatch, lines, delivered, error, where):
+    path = tmp_path / "bad.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+
+    # A function, so that the source is unreachable when the block collects.
+    def replay():
+        source = ReplaySource(str(path))
+        if delivered:
+            assert source.next_batch() == [parse_telemetry_record(r) for r in delivered]
+        with pytest.raises(error) as exc:
+            source.next_batch()
+        assert getattr(exc.value, where[0]) == where[1]
+        assert source.next_batch() is None
+
+    with no_unclosed_file(monkeypatch, path):
+        replay()
+
+
+def test_replay_close_before_first_read_closes_file(tmp_path, monkeypatch):
+    path = two_workload_replay(tmp_path / "telemetry.jsonl", windows=2)
+
+    def replay():
+        source = ReplaySource(path)
+        source.close()
+        assert source.next_batch() is None
+
+    with no_unclosed_file(monkeypatch, path):
+        replay()
 
 
 def test_replay_skips_blank_lines(tmp_path):
@@ -291,12 +350,15 @@ def test_plant_llc_capacity():
         plant.step({"svc": Allocation(cores=1.0, llc_kib=20_000.0, load_rps=10.0)})
 
 
-def test_plant_source_window_limit():
-    plant = ContentionPlant(_single_plant())
-    source = PlantSource(plant, {"svc": Allocation(cores=4.0, load_rps=100.0)}, windows=2)
-    assert source.next_batch() is not None
-    assert source.next_batch() is not None
-    assert source.next_batch() is None
+def test_plant_rejected_step_keeps_the_clock():
+    allocation = {"svc": Allocation(cores=4.0, load_rps=10.0)}
+    plant = ContentionPlant(_single_plant(), interference=1.5)
+    with pytest.raises(ValueError):
+        plant.step(allocation)
+    plant.interference = 0.5
+    after_rejection, _ = plant.step(allocation)
+    fresh, _ = ContentionPlant(_single_plant()).step(allocation)
+    assert after_rejection[0].window_start == fresh[0].window_start
 
 
 def test_plant_timestamps_advance():
