@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from .config import build, config_field, read_json
 from .engine import Engine, EngineConfig
-from .model import SloSpec
+from .model import SloSpec, value_type
 from .sources import Allocation, ContentionPlant, PlantConfig
 
 MODE_LATENCY = "latency"
@@ -121,7 +121,7 @@ class ExperimentConfig:
         EngineConfig(alpha=self.alpha)
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class ControlRecord:
     """One emitted window of the closed loop."""
 

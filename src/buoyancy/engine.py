@@ -33,6 +33,7 @@ from .model import (
     SloSpec,
     TelemetrySample,
     theoretical_max_mbw,
+    value_type,
 )
 from .scores import score_workload
 
@@ -63,7 +64,7 @@ class EngineConfig:
             raise ValueError("expiry_windows must be >= 0")
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class NodeReport:
     """One node-level snapshot: aggregate scores plus per-workload reports."""
 
@@ -212,11 +213,13 @@ class Engine:
         topology = self.topology
         slos = self.slos
         states = self._state
+        window_s = batch[0].window_s
         reports: list[BuoyancyReport] = []
         scored: list[tuple[TelemetrySample, ResourceScores]] = []
         for sample in batch:
             wid = sample.workload_id
-            scores = score_workload(sample, topology)
+            scores = score_workload(sample, topology, window_s)
+            cpu, llc, mbw = scores.cpu, scores.llc, scores.mbw
             kpi = sample.kpi_value
             state = states.get(wid)
             if state is None:
@@ -224,11 +227,10 @@ class Engine:
             else:
                 if smooth:
                     old = state.scores
-                    scores = ResourceScores(
-                        cpu=w * scores.cpu + keep * old.cpu,
-                        llc=w * scores.llc + keep * old.llc,
-                        mbw=w * scores.mbw + keep * old.mbw,
-                    )
+                    cpu = w * cpu + keep * old.cpu
+                    llc = w * llc + keep * old.llc
+                    mbw = w * mbw + keep * old.mbw
+                    scores = ResourceScores(cpu, llc, mbw)
                 if kpi is None:
                     kpi = state.last_kpi  # stale-KPI carry-forward
                 state.scores = scores
@@ -236,16 +238,11 @@ class Engine:
                 state.missed_windows = 0
 
             p = perf_score(kpi, slos.get(wid))
-            b = buoyancy(p, scores, alpha)
-            reports.append(
-                BuoyancyReport(
-                    workload_id=wid,
-                    perf_score=p,
-                    buoyancy=b,
-                    resource_scores=scores,
-                    approaching_violation=b <= threshold,
-                )
-            )
+            # buoyancy(p, scores, alpha), written out over the three floats.
+            mx = max(cpu, llc, mbw)
+            mn = math.fsum((cpu, llc, mbw)) / 3
+            b = p * (1.0 - mx if mx == mn else alpha * (1.0 - mx) + (1.0 - alpha) * (1.0 - mn))
+            reports.append(BuoyancyReport(wid, p, b, scores, b <= threshold))
             scored.append((sample, scores))
 
         return NodeReport(

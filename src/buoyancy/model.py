@@ -5,7 +5,7 @@ functions. Cache sizes are carried in KiB and bandwidth in bytes/second;
 unit conversion belongs at interface boundaries, not here.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, InitVar, dataclass, fields
 from datetime import datetime
 from typing import Optional
 
@@ -14,6 +14,43 @@ from .errors import InvalidSlo, NonIncreasingCacheSizes, NonPositiveGeometry, Sc
 #: Buoyancy at or below this value flags a workload as approaching an
 #: SLO violation.
 DEFAULT_VIOLATION_THRESHOLD = 0.1
+
+
+def value_type(cls):
+    """Make ``cls`` a frozen slots dataclass that is cheap to construct.
+
+    The class is ``dataclass(frozen=True, slots=True)`` in every respect:
+    equality, hash, repr, ``__match_args__``, ``fields``/``replace``/``asdict``,
+    pickling, and ``FrozenInstanceError`` on set and delete. Only
+    ``__init__`` differs: it stores each field through its slot descriptor's
+    ``__set__`` instead of ``object.__setattr__``, which costs about three
+    times as much per field. Defaults and ``__post_init__`` run as before.
+    Fields with ``default_factory``, ``init=False``, ``InitVar`` or
+    ``kw_only`` are not supported and raise ``TypeError`` here.
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+    for f in cls.__dataclass_fields__.values():  # a ClassVar passes: it is not an __init__ parameter
+        init_var = isinstance(f.type, InitVar) or f.type is InitVar
+        if init_var or f.default_factory is not MISSING or not f.init or f.kw_only is True:
+            raise TypeError(
+                f"value_type {cls.__name__}.{f.name}: "
+                "default_factory, init=False, InitVar and kw_only are not supported"
+            )
+    names, params, lines = {}, [], []
+    for f in fields(cls):
+        names[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            names[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+        lines.append(f"    _set_{f.name}(self, {f.name})")
+    if hasattr(cls, "__post_init__"):
+        lines.append("    self.__post_init__()")
+    exec(f"def __init__(self, {', '.join(params)}):\n" + ("\n".join(lines) or "    pass"), names)
+    names["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = names["__init__"]
+    return cls
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,7 +113,7 @@ class SloSpec:
             raise InvalidSlo(f"slo_value must be > 0, got {self.slo_value}")
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class TelemetrySample:
     """Raw counters and KPI for one workload over one observation window."""
 
@@ -122,7 +159,7 @@ class TelemetrySample:
         return (self.window_end - self.window_start).total_seconds()
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class ResourceScores:
     """Per-resource scores of one workload, each in [0, 1]."""
 
@@ -134,7 +171,7 @@ class ResourceScores:
         return [self.cpu, self.llc, self.mbw]
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class BuoyancyReport:
     """Computed performance and headroom scores for one workload-window.
 

@@ -20,14 +20,13 @@ so a node agent can smooth or aggregate on top without surprises.
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import NoMemoryTraffic
-from .model import CacheTopology, ResourceScores, TelemetrySample, llc_way_size, theoretical_max_mbw
+from .model import CacheTopology, ResourceScores, TelemetrySample, llc_way_size, theoretical_max_mbw, value_type
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class MrcFit:
     """Power-law miss-ratio curve ``f(x) = coeff_a * x**exponent_b``.
 
@@ -52,14 +51,9 @@ class MrcFit:
         return self.coeff_a * self.exponent_b * x ** (self.exponent_b - 1.0)
 
 
-def cpu_score(sample: TelemetrySample, window_s: Optional[float] = None) -> float:
-    """CPU score: user CPU seconds over allocated core-seconds, clamped to 1.
-
-    ``window_s`` is the sample's window length, when the caller has it.
-    """
-    if window_s is None:
-        window_s = sample.window_s
-    t_alloc = sample.cpu_alloc_cores * window_s
+def cpu_score(sample: TelemetrySample) -> float:
+    """CPU score: user CPU seconds over allocated core-seconds, clamped to 1."""
+    t_alloc = sample.cpu_alloc_cores * sample.window_s
     return min(sample.cpu_user_time_s / t_alloc, 1.0)
 
 
@@ -159,34 +153,44 @@ def llc_score(fit: MrcFit, topology: CacheTopology, s_llc: float, m_llc: float) 
     return min(predicted_delta / m_llc, 1.0)
 
 
-def mbw_score(sample: TelemetrySample, topology: CacheTopology, window_s: Optional[float] = None) -> float:
-    """Memory bandwidth score: current over allocated bytes/s, clamped.
-
-    ``window_s`` is the sample's window length, when the caller has it.
-    """
-    if window_s is None:
-        window_s = sample.window_s
+def mbw_score(sample: TelemetrySample, topology: CacheTopology) -> float:
+    """Memory bandwidth score: current over allocated bytes/s, clamped."""
     alloc = sample.mbw_alloc_bytes_per_s
     if alloc is None:
         alloc = theoretical_max_mbw(topology)
-    current = sample.mbw_bytes / window_s
+    current = sample.mbw_bytes / sample.window_s
     return min(current / alloc, 1.0)
 
 
-def score_workload(sample: TelemetrySample, topology: CacheTopology) -> ResourceScores:
+def score_workload(
+    sample: TelemetrySample, topology: CacheTopology, window_s: Optional[float] = None
+) -> ResourceScores:
     """Assemble the CPU, LLC and MBW scores of one workload-window.
 
     A window with no memory references scores 0 on LLC while CPU and MBW
-    are computed as usual.
+    are computed as usual. ``window_s`` is the sample's window length, when
+    the caller has it. The arithmetic of ``cpu_score``, ``mbw_score``,
+    ``miss_ratios`` and ``llc_score`` is written out here in their order of
+    operations, so the scores are the same to the bit; those functions stay
+    the reference.
     """
-    window_s = sample.window_s
-    cpu = cpu_score(sample, window_s)
-    mbw = mbw_score(sample, topology, window_s)
-    if sample.mem_refs <= 0:
-        return ResourceScores(cpu=cpu, llc=0.0, mbw=mbw)
-    ratios = miss_ratios(sample)
+    if window_s is None:
+        window_s = sample.window_s
+    cpu = min(sample.cpu_user_time_s / (sample.cpu_alloc_cores * window_s), 1.0)
+    alloc = sample.mbw_alloc_bytes_per_s
+    if alloc is None:
+        alloc = topology.mem_speed_mts * 1e6 * topology.mem_bus_width_bytes * topology.mem_channels
+    mbw = min(sample.mbw_bytes / window_s / alloc, 1.0)
+    n = sample.mem_refs
+    if n <= 0:
+        return ResourceScores(cpu, 0.0, mbw)
+    m_llc = sample.l3_miss / n
     s_alloc = sample.llc_alloc_kib
-    fit = fit_mrc(topology, ratios, s_alloc)
+    fit = fit_mrc(topology, (sample.l1_miss / n, sample.l2_miss / n, m_llc), s_alloc)
     s_llc = s_alloc if s_alloc is not None else topology.l3_size_kib
-    llc = llc_score(fit, topology, s_llc, ratios[2])
-    return ResourceScores(cpu=cpu, llc=llc, mbw=mbw)
+    if fit.degenerate or m_llc <= 0 or s_llc <= 0:
+        return ResourceScores(cpu, 0.0, mbw)
+    b = fit.exponent_b
+    slope = fit.coeff_a * b * s_llc ** (b - 1.0)
+    way_kib = topology.l3_size_kib / topology.l3_ways
+    return ResourceScores(cpu, min(-slope * way_kib / m_llc, 1.0), mbw)

@@ -8,7 +8,7 @@ a half-written window. Each snapshot renders its ``/metrics`` and
 
 Endpoints: ``/metrics`` (OpenMetrics text), ``/v1/node`` (JSON report),
 ``/v1/workloads/{id}`` (JSON per-workload report, 404 if unknown), and
-``/healthz``.
+``/healthz`` (503 with the error once an error has stopped the engine loop).
 """
 
 import json
@@ -16,6 +16,7 @@ import logging
 import threading
 from datetime import datetime
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from time import monotonic
 from typing import Optional
 
 # Re-exported from buoyancy.config: callers written before that module
@@ -119,6 +120,8 @@ class MetricsAgent:
             plant = ContentionPlant(config.plant, interference=config.interference)
             self._source = PlantSource(plant, config.allocations)
         self._snapshot: Optional[Snapshot] = None
+        #: What ended the engine loop, when an error did; None while it runs or after the source ended.
+        self.error: Optional[str] = None
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
 
@@ -142,11 +145,25 @@ class MetricsAgent:
         return True
 
     def _run(self):
-        while not self._stop.is_set():
-            if not self.step_once():
-                log.info("telemetry source exhausted; serving last snapshot")
-                return
-            self._stop.wait(self.config.window_s)
+        """Step once per ``window_s`` on monotonic deadlines until stopped or the source ends.
+
+        A step that overruns its window moves the next deadline to now
+        instead of queueing the missed ones. An error ends the loop and is
+        kept in ``error``, which ``/healthz`` reports.
+        """
+        period = self.config.window_s
+        deadline = monotonic()
+        try:
+            while not self._stop.is_set():
+                if not self.step_once():
+                    log.info("telemetry source exhausted; serving last snapshot")
+                    return
+                now = monotonic()
+                deadline = max(deadline + period, now)
+                self._stop.wait(deadline - now)
+        except Exception as exc:  # the loop's boundary: record what ended it
+            log.exception("engine loop stopped")
+            self.error = f"{type(exc).__name__}: {exc}"
 
     def start(self):
         self._thread = threading.Thread(target=self._run, name="engine-loop", daemon=True)
@@ -177,7 +194,11 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self):  # noqa: N802 (http.server API)
         path = self.path.split("?", 1)[0]
         if path == "/healthz":
-            self._send(200, b"ok")
+            error = self.agent.error
+            if error is None:
+                self._send(200, b"ok")
+            else:
+                self._send(503, f"engine loop stopped: {error}".encode("utf-8"))
             return
         if path not in ("/metrics", "/v1/node") and not path.startswith("/v1/workloads/"):
             self._send(404, b"not found")

@@ -31,7 +31,7 @@ from datetime import datetime, timedelta, timezone
 from typing import IO, Iterator, Mapping, Optional
 
 from .errors import CapacityExceeded, ParseError, SchemaError
-from .model import CacheTopology, TelemetrySample, validate_topology
+from .model import CacheTopology, TelemetrySample, validate_topology, value_type
 
 log = logging.getLogger(__name__)
 
@@ -124,23 +124,38 @@ def parse_telemetry_record(obj: dict, strict: bool = True) -> TelemetrySample:
     return TelemetrySample(**fields)
 
 
+#: Decodes one JSON value at the start of a string and returns where it
+#: ends: one C call, where ``json.loads`` adds two Python wrappers and two
+#: whitespace matches.
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def _read_batches(fh: IO[str], strict: bool) -> Iterator[list[TelemetrySample]]:
     """Yield each window's samples from a JSONL file, closing it on every end.
 
-    Window boundaries show only one record ahead, so on a bad line the
-    batch read before it is yielded first; the error then ends the stream.
+    A line is decoded by ``_raw_decode`` when only JSON whitespace follows
+    the value; any other line goes to ``json.loads``, which accepts it (a
+    blank line is skipped) or raises the error reported for it. Window
+    boundaries show only one record ahead, so on a bad line the batch read
+    before it is yielded first; the error then ends the stream.
     """
     with fh:
         batch: list[TelemetrySample] = []
         window = None
         try:
             for line_no, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
                 try:
-                    obj = json.loads(line)
-                except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
-                    raise ParseError(line_no, str(exc)) from None
+                    obj, end = _raw_decode(line)
+                    decoded = not line[end:].strip(" \t\n\r")
+                except (ValueError, RecursionError):
+                    decoded = False
+                if not decoded:  # json.loads is the reference: it accepts the line or raises its error
+                    if not line.strip():
+                        continue
+                    try:
+                        obj = json.loads(line)
+                    except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, or too deep
+                        raise ParseError(line_no, str(exc)) from None
                 sample = parse_telemetry_record(obj, strict=strict)
                 if (sample.window_start, sample.window_end) != window:
                     if batch:
@@ -227,7 +242,7 @@ class PlantWorkload:
         return saturated * OVERLOAD_MULTIPLIER
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class Allocation:
     """Per-workload actuation input to one plant step."""
 

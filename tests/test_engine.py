@@ -1,8 +1,9 @@
 import copy
 import math
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from buoyancy import (
@@ -21,7 +22,9 @@ from buoyancy import (
     perf_score,
 )
 
-from .conftest import make_sample
+from buoyancy import engine as engine_module
+
+from .conftest import TABLE_TOPO, make_sample
 
 
 # ---------------------------------------------------------------- perf score
@@ -250,6 +253,43 @@ def test_step_composes_scores_and_buoyancy(topo):
     assert report.node_buoyancy == wr.buoyancy
     assert report.window_start == sample.window_start
     assert report.window_end == sample.window_end
+
+
+_SCORE = st.floats(0.0, 1.0)
+
+#: A workload's resource scores (at times all equal, where buoyancy takes
+#: its single-factor branch) and its KPI against a 10 ms SLO.
+_WORKLOAD = st.tuples(
+    st.tuples(_SCORE, _SCORE, _SCORE) | _SCORE.map(lambda v: (v, v, v)),
+    st.none() | st.floats(0.0, 30.0),
+)
+
+
+@settings(max_examples=300)
+@given(
+    windows=st.lists(st.lists(_WORKLOAD, min_size=1, max_size=4), min_size=1, max_size=4),
+    alpha=st.floats(0.0, 1.0),
+    ema_factor=st.sampled_from([1.0, 0.5, 0.3]),
+)
+@example(windows=[[((0.3, 0.3, 0.3), 4.0)]], alpha=0.35, ema_factor=1.0)
+def test_step_buoyancy_matches_buoyancy_function(windows, alpha, ema_factor):
+    slos = {"w0": SloSpec("p95_latency_ms", 10.0), "w2": SloSpec("p95_latency_ms", 10.0)}
+    engine = _engine(TABLE_TOPO, slos=slos, config=EngineConfig(alpha=alpha, ema_factor=ema_factor))
+    drawn = {}
+
+    def drawn_scores(sample, *_):
+        return ResourceScores(*drawn[sample.workload_id])
+
+    # Engine.step looks score_workload up in its module, so the patch reaches it.
+    with mock.patch.object(engine_module, "score_workload", drawn_scores):
+        for index, window in enumerate(windows):
+            drawn.clear()
+            batch = []
+            for i, (scores, kpi) in enumerate(window):
+                drawn[f"w{i}"] = scores
+                batch.append(make_sample(workload_id=f"w{i}", window_index=index, kpi_value=kpi))
+            for wr in engine.step(batch).workload_reports:
+                assert wr.buoyancy.hex() == buoyancy(wr.perf_score, wr.resource_scores, alpha).hex()
 
 
 def test_step_empty_batch_empty_state(topo):

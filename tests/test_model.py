@@ -1,18 +1,31 @@
+import dataclasses
+import pickle
+from datetime import timedelta
+from typing import ClassVar
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from buoyancy import (
+    Allocation,
+    BuoyancyReport,
     CacheTopology,
+    MrcFit,
+    NodeReport,
     NonIncreasingCacheSizes,
     NonPositiveGeometry,
+    ResourceScores,
     SchemaError,
+    TelemetrySample,
     llc_way_size,
     theoretical_max_mbw,
     validate_topology,
 )
+from buoyancy.controller import ControlRecord
+from buoyancy.model import value_type
 
-from .conftest import make_sample
+from .conftest import EPOCH, make_sample
 
 
 def test_validate_reference_topology(topo):
@@ -131,3 +144,105 @@ def test_sample_negative_kpi_rejected():
 
 def test_sample_window_length():
     assert make_sample(window_s=2.5).window_s == 2.5
+
+
+# ---------------------------------------------------------------- value types
+
+_SCORES = ResourceScores(0.25, 0.5, 0.75)
+_REPORT = BuoyancyReport("w1", 0.5, 0.3, _SCORES, False)
+
+#: One instance of each value type, with no field left at its default, and
+#: a valid change of one field for ``dataclasses.replace``.
+VALUES = [
+    (make_sample(mbw_alloc_bytes_per_s=1e9, llc_alloc_kib=2048.0, kpi_value=4.0), {"kpi_value": 5.0}),
+    (_SCORES, {"llc": 0.0}),
+    (_REPORT, {"approaching_violation": True}),
+    (MrcFit(2.0, -0.5, True), {"degenerate": False}),
+    # A tuple of reports, where the engine builds a list, so that this one hashes.
+    (NodeReport(_SCORES, 0.2, (_REPORT,), EPOCH, EPOCH + timedelta(seconds=1)), {"node_buoyancy": -0.1}),
+    (Allocation(2.0, 1024.0, 10.0), {"llc_kib": None}),
+    (ControlRecord(3, 7, 2.0, 5.0, 0.3, 0.2, "latency"), {"mode": "buoyancy"}),
+]
+
+
+@pytest.mark.parametrize("value,changes", VALUES, ids=[type(v).__name__ for v, _ in VALUES])
+def test_value_type_is_a_frozen_slots_dataclass(value, changes):
+    cls = type(value)
+    names = [f.name for f in dataclasses.fields(cls)]
+    values = [getattr(value, name) for name in names]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, names[0], values[0])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(value, names[0])
+    assert not hasattr(value, "__dict__")
+    assert cls.__match_args__ == tuple(names)
+
+    positional = cls(*values)
+    assert positional is not value
+    assert positional == cls(**dict(zip(names, values))) == value
+    assert hash(positional) == hash(value)
+    assert repr(value) == f"{cls.__name__}(" + ", ".join(f"{n}={v!r}" for n, v in zip(names, values)) + ")"
+    assert pickle.loads(pickle.dumps(value)) == value
+    assert dataclasses.asdict(value).keys() == set(names)
+    changed = dataclasses.replace(value, **changes)
+    assert changed != value
+    assert {name: getattr(changed, name) for name in changes} == changes
+
+
+@pytest.mark.parametrize(
+    "cls,required",
+    [
+        (TelemetrySample, [getattr(make_sample(), f.name) for f in dataclasses.fields(TelemetrySample)[:10]]),
+        (MrcFit, (1.0, -0.5)),
+        (Allocation, (2.0,)),
+        (NodeReport, (_SCORES, 0.2, [])),
+    ],
+    ids=["TelemetrySample", "MrcFit", "Allocation", "NodeReport"],
+)
+def test_value_type_defaults(cls, required):
+    value = cls(*required)
+    assert [getattr(value, f.name) for f in dataclasses.fields(cls)[len(required):]] == [
+        f.default for f in dataclasses.fields(cls)[len(required):]
+    ]
+
+
+@pytest.mark.parametrize(
+    "build,error",
+    [
+        (lambda: make_sample(cpu_alloc_cores=0.0), SchemaError),
+        (lambda: dataclasses.replace(make_sample(), l3_miss=-1), SchemaError),
+        (lambda: Allocation(0.0), ValueError),
+        (lambda: Allocation(cores=1.0, llc_kib=-1.0), ValueError),
+    ],
+    ids=["sample", "sample-replace", "allocation", "allocation-llc"],
+)
+def test_value_type_post_init_still_rejects(build, error):
+    with pytest.raises(error):
+        build()
+
+
+@pytest.mark.parametrize(
+    "annotation,default",
+    [
+        (list, dataclasses.field(default_factory=list)),
+        (int, dataclasses.field(init=False, default=0)),
+        (dataclasses.InitVar[int], 0),
+        (int, dataclasses.field(kw_only=True, default=0)),
+    ],
+    ids=["default_factory", "init-false", "InitVar", "kw_only"],
+)
+def test_value_type_rejects_unsupported_fields_at_definition(annotation, default):
+    namespace = {"__annotations__": {"x": int, "y": annotation}, "y": default}
+    with pytest.raises(TypeError, match="not supported"):
+        value_type(type("Bad", (), namespace))
+
+
+def test_value_type_allows_class_variables():
+    @value_type
+    class Point:
+        dims: ClassVar[int] = 2
+        x: float
+        y: float = 0.0
+
+    assert Point(1.0) == Point(x=1.0, y=0.0) and Point.dims == 2
+    assert [f.name for f in dataclasses.fields(Point)] == ["x", "y"]

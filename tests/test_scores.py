@@ -175,21 +175,58 @@ def test_fit_mrc_matches_fit_power_law(ratios, llc_alloc_kib):
     assert fit_mrc(TABLE_TOPO, ratios, llc_alloc_kib) == fit_power_law((80.0, 1280.0, s_eff), ratios)
 
 
+def _bits(scores):
+    return [value.hex() for value in (scores.cpu, scores.llc, scores.mbw)]
+
+
 @settings(max_examples=300)
 @given(
-    misses=st.tuples(*[st.integers(1_000, 10**9)] * 3),
+    misses=st.tuples(*[st.integers(0, 10**9)] * 3),
+    mem_refs=st.one_of(st.just(0), st.integers(1, 10**9)),
     llc_alloc_kib=st.sampled_from(LLC_ALLOCATIONS),
+    window_s=st.floats(0.001, 100.0),
+    cpu_user_time_s=st.floats(0.0, 1e3),
+    cpu_alloc_cores=st.floats(0.1, 64.0),
+    mbw_bytes=st.integers(0, 10**13),
+    mbw_alloc_bytes_per_s=st.none() | st.floats(1.0, 1e12),
+    pass_window=st.booleans(),
 )
-@example(misses=(10**8, 10**8, 10**8), llc_alloc_kib=None)
-def test_score_workload_matches_reference(misses, llc_alloc_kib):
+@example(
+    misses=(10**8, 10**8, 10**8), mem_refs=10**9, llc_alloc_kib=None, window_s=1.0,
+    cpu_user_time_s=0.5, cpu_alloc_cores=2.0, mbw_bytes=0, mbw_alloc_bytes_per_s=None, pass_window=False,
+)
+@example(
+    misses=(10**8, 10**7, 0), mem_refs=10**9, llc_alloc_kib=2048.0, window_s=1.0,
+    cpu_user_time_s=0.5, cpu_alloc_cores=2.0, mbw_bytes=0, mbw_alloc_bytes_per_s=None, pass_window=True,
+)
+@example(
+    misses=(10**8, 10**7, 10**6), mem_refs=0, llc_alloc_kib=None, window_s=2.0,
+    cpu_user_time_s=5.0, cpu_alloc_cores=3.0, mbw_bytes=10**12, mbw_alloc_bytes_per_s=1e9, pass_window=True,
+)
+def test_score_workload_matches_reference(
+    misses, mem_refs, llc_alloc_kib, window_s, cpu_user_time_s, cpu_alloc_cores, mbw_bytes, mbw_alloc_bytes_per_s,
+    pass_window,
+):
     sample = make_sample(
-        mem_refs=10**9, l1_miss=misses[0], l2_miss=misses[1], l3_miss=misses[2], llc_alloc_kib=llc_alloc_kib
+        window_s=window_s,
+        cpu_user_time_s=cpu_user_time_s,
+        cpu_alloc_cores=cpu_alloc_cores,
+        mem_refs=mem_refs,
+        l1_miss=misses[0],
+        l2_miss=misses[1],
+        l3_miss=misses[2],
+        mbw_bytes=mbw_bytes,
+        mbw_alloc_bytes_per_s=mbw_alloc_bytes_per_s,
+        llc_alloc_kib=llc_alloc_kib,
     )
-    ratios = miss_ratios(sample)
-    s_eff = llc_alloc_kib if llc_alloc_kib is not None else TABLE_TOPO.l3_size_kib
-    llc = llc_score(fit_power_law((80.0, 1280.0, s_eff), ratios), TABLE_TOPO, s_eff, ratios[2])
+    llc = 0.0
+    if mem_refs > 0:
+        ratios = miss_ratios(sample)
+        s_eff = llc_alloc_kib if llc_alloc_kib is not None else TABLE_TOPO.l3_size_kib
+        llc = llc_score(fit_power_law((80.0, 1280.0, s_eff), ratios), TABLE_TOPO, s_eff, ratios[2])
     expected = ResourceScores(cpu=cpu_score(sample), llc=llc, mbw=mbw_score(sample, TABLE_TOPO))
-    assert score_workload(sample, TABLE_TOPO) == expected
+    scores = score_workload(sample, TABLE_TOPO, sample.window_s if pass_window else None)
+    assert _bits(scores) == _bits(expected)
 
 
 # ---------------------------------------------------------------- llc score

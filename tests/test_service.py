@@ -335,6 +335,67 @@ def test_agent_serves_last_snapshot_after_replay_ends(tmp_path):
     assert agent.snapshot() is not None
 
 
+@pytest.mark.parametrize(
+    "tail,error",
+    [("", None), ('{"workload_id": "w1", "window_start"\n', "ParseError: line 5: ")],
+    ids=["end-of-replay", "bad-line"],
+)
+def test_healthz_after_the_engine_loop_ends(tmp_path, tail, error):
+    replay = tmp_path / "t.jsonl"
+    two_workload_replay(replay, windows=2)
+    with open(replay, "a") as fh:
+        fh.write(tail)
+    agent = MetricsAgent(AgentConfig.from_dict(_agent_config_dict(str(replay), window_s=0.01)))
+    server = make_server(agent, "127.0.0.1", 0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        agent.start()
+        agent._thread.join(timeout=5.0)
+        assert not agent._thread.is_alive()
+        assert agent.snapshot().window_end == EPOCH + 2 * _SECOND
+        try:
+            status, _, body = _get(f"http://127.0.0.1:{server.server_address[1]}/healthz")
+        except urllib.error.HTTPError as exc:
+            with exc:
+                status, body = exc.code, exc.read().decode()
+        if error is None:
+            assert (status, body, agent.error) == (200, "ok", None)
+        else:
+            assert agent.error.startswith(error)
+            assert (status, body) == (503, f"engine loop stopped: {agent.error}")
+    finally:
+        server.shutdown()
+        server.server_close()
+        agent.stop()
+
+
+def test_engine_loop_runs_on_monotonic_deadlines(tmp_path, monkeypatch):
+    replay = two_workload_replay(tmp_path / "t.jsonl", windows=1)
+    agent = MetricsAgent(AgentConfig.from_dict(_agent_config_dict(replay, window_s=1.0)))
+    now = [100.0]
+    step_times = iter([0.25, 0.25, 1.5, 0.25, 0.25])  # the third step overruns its window
+    waits = []
+
+    def step_once():
+        now[0] += next(step_times)
+        return True
+
+    def wait(timeout):
+        waits.append(timeout)
+        now[0] += timeout
+        if len(waits) == 5:
+            agent._stop.set()
+
+    monkeypatch.setattr(server_module, "monotonic", lambda: now[0])
+    monkeypatch.setattr(agent, "step_once", step_once)
+    monkeypatch.setattr(agent._stop, "wait", wait)
+    agent._run()
+    assert waits == [0.75, 0.75, 0.0, 0.75, 0.75]
+    assert agent.error is None
+    agent.stop()
+
+
 def test_replay_agent_closes_its_file(tmp_path, monkeypatch):
     replay = two_workload_replay(tmp_path / "t.jsonl", windows=2)
     config = AgentConfig.from_dict(_agent_config_dict(replay))

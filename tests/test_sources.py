@@ -151,6 +151,13 @@ _GOOD = [record_dict(workload_id="w1"), record_dict(workload_id="w2")]
             ("line", 3),
             id="truncated-line",
         ),
+        pytest.param(
+            [json.dumps(r) for r in _GOOD] + ["[" * 100_000],
+            _GOOD,
+            ParseError,
+            ("line", 3),
+            id="deeply-nested-line",
+        ),
     ],
 )
 def test_replay_bad_line_ends_stream(tmp_path, monkeypatch, lines, delivered, error, where):
@@ -169,6 +176,67 @@ def test_replay_bad_line_ends_stream(tmp_path, monkeypatch, lines, delivered, er
 
     with no_unclosed_file(monkeypatch, path):
         replay()
+
+
+_LINE = json.dumps(record_dict())
+
+
+def _via_json_loads(text):
+    """What the replay made of one line before it decoded with ``raw_decode``."""
+    try:
+        obj = json.loads(text)
+    except ValueError as exc:
+        return ParseError, str(ParseError(1, str(exc)))
+    try:
+        return [parse_telemetry_record(obj)]
+    except SchemaError as exc:
+        return SchemaError, str(exc)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "  " + _LINE + "\n",
+        _LINE + "\r\n",
+        _LINE + " \t \n",
+        _LINE + "\n",
+        _LINE,
+        _LINE + " x\n",
+        _LINE + "}\n",
+        "\ufeff" + _LINE + "\n",
+        _LINE.replace('"cpu_user_time_s": 0.5', '"cpu_user_time_s": NaN') + "\n",
+        _LINE.replace('"mem_refs": ', '"mem_refs": ' + "9" * 5000) + "\n",
+        "null\n",
+        "[]\n",
+        _LINE + "\x0b\x0c\n",
+    ],
+    ids=[
+        "leading-whitespace",
+        "crlf",
+        "trailing-spaces",
+        "plain",
+        "no-newline",
+        "trailing-garbage",
+        "trailing-brace",
+        "bom",
+        "nan",
+        "integer-over-digit-limit",
+        "null",
+        "empty-array",
+        "trailing-form-feed",
+    ],
+)
+def test_replay_decodes_a_line_as_json_loads_does(tmp_path, text):
+    path = tmp_path / "line.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    source = ReplaySource(str(path))
+    try:
+        outcome = source.next_batch()
+    except (ParseError, SchemaError) as exc:
+        outcome = type(exc), str(exc)
+    finally:
+        source.close()
+    assert outcome == _via_json_loads(text)
 
 
 def test_replay_close_before_first_read_closes_file(tmp_path, monkeypatch):
