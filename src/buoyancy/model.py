@@ -15,6 +15,8 @@ from .errors import InvalidSlo, NonIncreasingCacheSizes, NonPositiveGeometry, Sc
 #: SLO violation.
 DEFAULT_VIOLATION_THRESHOLD = 0.1
 
+_INF = float("inf")
+
 
 def value_type(cls):
     """Make ``cls`` a frozen slots dataclass that is cheap to construct.
@@ -132,7 +134,7 @@ class TelemetrySample:
     kpi_value: Optional[float] = None
 
     def __post_init__(self):
-        # The only home of a sample's value rules; ``not x > 0`` rejects NaN too.
+        # The only home of a sample's value rules.
         if not self.workload_id:
             raise SchemaError("workload_id", "must be non-empty")
         try:
@@ -141,6 +143,19 @@ class TelemetrySample:
             raise SchemaError("window_end", "both window bounds must carry a UTC offset, or neither") from None
         if not ordered:
             raise SchemaError("window_end", "window must end after it starts")
+        # Every number's sign and finiteness in one expression; each bound also fails on NaN.
+        if not (
+            0 < self.cpu_alloc_cores < _INF and 0 <= self.cpu_user_time_s < _INF and 0 <= self.mem_refs < _INF
+            and 0 <= self.l1_miss < _INF and 0 <= self.l2_miss < _INF and 0 <= self.l3_miss < _INF
+            and 0 <= self.mbw_bytes < _INF
+            and (self.mbw_alloc_bytes_per_s is None or 0 < self.mbw_alloc_bytes_per_s < _INF)
+            and (self.llc_alloc_kib is None or 0 < self.llc_alloc_kib < _INF)
+            and (self.kpi_value is None or 0 <= self.kpi_value < _INF)
+        ):
+            self._reject_number()
+
+    def _reject_number(self):
+        """Raise the SchemaError naming the first number that breaks a rule, signs before finiteness."""
         if not self.cpu_alloc_cores > 0:
             raise SchemaError("cpu_alloc_cores", "must be > 0")
         for name in ("cpu_user_time_s", "mem_refs", "l1_miss", "l2_miss", "l3_miss", "mbw_bytes"):
@@ -152,6 +167,8 @@ class TelemetrySample:
                 raise SchemaError(name, "must be > 0 when present")
         if self.kpi_value is not None and not self.kpi_value >= 0:
             raise SchemaError("kpi_value", "must be >= 0")
+        name = next(f.name for f in fields(self) if getattr(self, f.name) == _INF)
+        raise SchemaError(name, "must be finite")
 
     @property
     def window_s(self) -> float:

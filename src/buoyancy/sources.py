@@ -26,7 +26,7 @@ import json
 import logging
 import math
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from datetime import datetime, timedelta, timezone
 from typing import IO, Iterator, Mapping, Optional
 
@@ -66,29 +66,13 @@ _SCHEMA = {
     "kpi_value": ((int, float), True),
 }
 
-#: One row per ``_SCHEMA`` field: (field, the exact types accepted, allow
-#: null, the start of its type error). Testing ``type(value)`` against
-#: exact types is one check, and keeps a bool from passing as an int.
-_CHECKS = tuple(
-    (key, types if isinstance(types, tuple) else (types,), nullable, f"expected {types}, got ")
-    for key, (types, nullable) in _SCHEMA.items()
-)
-
-
-def _parse_rfc3339(value: str, field: str) -> datetime:
-    try:
-        return datetime.fromisoformat(value.replace("Z", "+00:00"))
-    except ValueError:
-        raise SchemaError(field, f"not an RFC3339 timestamp: {value!r}") from None
-
-
-def parse_telemetry_record(obj: dict, strict: bool = True) -> TelemetrySample:
-    """Build a TelemetrySample from one decoded JSONL object, checking its JSON shape.
-
-    Value rules live on ``TelemetrySample``. ``json`` decodes ``NaN`` and
-    ``Infinity``, which are not JSON numbers, and integers too large for a
-    float, so a number that is not a finite float is rejected here.
-    """
+#: ``parse_telemetry_record`` is compiled from these templates, one block per
+#: ``_SCHEMA`` field in schema order. A ``type()`` test against exact types
+#: keeps a bool from passing as an int. ``json`` decodes ``NaN``, ``Infinity``
+#: and integers too large for a float, which are not finite JSON numbers, so
+#: they are rejected here; the value rules live on ``TelemetrySample``.
+_HEAD = """def parse_telemetry_record(obj, strict=True):
+    \"""Build a TelemetrySample from one decoded JSONL object, checking its JSON shape.\"""
     if not isinstance(obj, dict):
         raise SchemaError("<record>", "each line must be a JSON object")
     if obj.keys() != _SCHEMA.keys():
@@ -96,32 +80,49 @@ def parse_telemetry_record(obj: dict, strict: bool = True) -> TelemetrySample:
             if key not in _SCHEMA:
                 if strict:
                     raise SchemaError(key, "unknown field")
-                log.warning("ignoring unknown telemetry field %r", key)
-    fields = {}
-    for key, exact, nullable, expected in _CHECKS:
+                log.warning("ignoring unknown telemetry field %r", key)"""
+_FIELD = """
+    try:
+        {key} = obj["{key}"]
+    except KeyError:
+        raise SchemaError("{key}", "missing") from None
+    if {exact}:{finite}
+    {otherwise}:
+        raise SchemaError("{key}", {null}f"expected {types}, got {{type({key}).__name__}}")"""
+_FINITE = """
         try:
-            value = obj[key]
-        except KeyError:
-            raise SchemaError(key, "missing") from None
-        kind = type(value)
-        if kind not in exact:
-            if value is not None:
-                raise SchemaError(key, expected + kind.__name__)
-            if not nullable:
-                raise SchemaError(key, "must not be null")
-        elif kind is not str:
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:  # an integer too large for a float
-                finite = False
-            if not finite:
-                raise SchemaError(key, f"must be a finite number, got {value}")
-        fields[key] = value
-    fields["window_start"] = _parse_rfc3339(fields["window_start"], "window_start")
-    fields["window_end"] = _parse_rfc3339(fields["window_end"], "window_end")
-    fields["cpu_user_time_s"] = float(fields["cpu_user_time_s"])
-    fields["cpu_alloc_cores"] = float(fields["cpu_alloc_cores"])
-    return TelemetrySample(**fields)
+            finite = math.isfinite({key})
+        except OverflowError:  # an integer too large for a float
+            finite = False
+        if not finite:
+            raise SchemaError("{key}", f"must be a finite number, got {{{key}}}")"""
+_TIMESTAMP = """
+    try:
+        {key} = datetime.fromisoformat({key}.replace("Z", "+00:00"))
+    except ValueError:
+        raise SchemaError("{key}", f"not an RFC3339 timestamp: {{{key}!r}}") from None"""
+
+
+def _compile_parser():
+    source = _HEAD
+    for key, (types, nullable) in _SCHEMA.items():
+        exact = types if isinstance(types, tuple) else (types,)
+        source += _FIELD.format(
+            key=key,
+            exact=" or ".join(f"type({key}) is {t.__name__}" for t in exact),
+            finite=" pass" if str in exact else _FINITE.format(key=key),
+            otherwise=f"elif {key} is not None" if nullable else "else",
+            null="" if nullable else f'"must not be null" if {key} is None else ',
+            types=types,
+        )
+    source += _TIMESTAMP.format(key="window_start") + _TIMESTAMP.format(key="window_end")
+    source += "\n    cpu_user_time_s = float(cpu_user_time_s)\n    cpu_alloc_cores = float(cpu_alloc_cores)"
+    source += f"\n    return TelemetrySample({', '.join(f.name for f in fields(TelemetrySample))})"
+    exec(source, globals(), defined := {})
+    return defined["parse_telemetry_record"]
+
+
+parse_telemetry_record = _compile_parser()
 
 
 #: Decodes one JSON value at the start of a string and returns where it
@@ -306,9 +307,11 @@ class ContentionPlant:
     interference: float = 0.0
     _rng: random.Random = dc_field(init=False, repr=False)
     _window_index: int = dc_field(init=False, default=0, repr=False)
+    _workloads: dict[str, PlantWorkload] = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         self._rng = random.Random(self.config.seed)
+        self._workloads = {w.id: w for w in self.config.workloads}
 
     def _noisy(self, value: float) -> float:
         sigma = self.config.noise_sigma
@@ -329,12 +332,11 @@ class ContentionPlant:
         window = cfg.window_s
         start = _EPOCH + timedelta(seconds=self._window_index * window)
         end = start + timedelta(seconds=window)
-        self._window_index += 1
 
         samples: list[TelemetrySample] = []
         true_latency: dict[str, float] = {}
         for wid, alloc in allocations.items():
-            w = cfg.workload(wid)
+            w = self._workloads[wid]
             lam = alloc.load_rps
             s_llc = alloc.llc_kib if alloc.llc_kib is not None else topo.l3_size_kib
 
@@ -367,6 +369,7 @@ class ContentionPlant:
                     kpi_value=self._noisy(latency),
                 )
             )
+        self._window_index += 1  # a rejected step keeps the clock
         return samples, true_latency
 
 

@@ -1,13 +1,22 @@
 """Independent reference computations used to check the library's results.
 
 These deliberately avoid the code paths under test: the log-log OLS
-oracle goes through numpy.polyfit, and the closed-form plant map restates
-the plant and scoring equations directly.
+oracle goes through numpy.polyfit, the closed-form plant map restates
+the plant and scoring equations directly, and the record parser is the
+table-driven loop that the generated parser replaced.
 """
 
+import logging
 import math
+from datetime import datetime
 
 import numpy as np
+
+from buoyancy.errors import SchemaError
+from buoyancy.model import TelemetrySample
+from buoyancy.sources import _SCHEMA
+
+_log = logging.getLogger("buoyancy.sources")
 
 
 def ols_loglog(sizes, ratios):
@@ -90,3 +99,59 @@ class StaticPlantMap:
             else:
                 hi = mid
         return (lo + hi) / 2.0
+
+
+#: One row per ``_SCHEMA`` field: (field, the exact types accepted, allow
+#: null, the start of its type error).
+_CHECKS = tuple(
+    (key, types if isinstance(types, tuple) else (types,), nullable, f"expected {types}, got ")
+    for key, (types, nullable) in _SCHEMA.items()
+)
+
+
+def _parse_rfc3339(value, field):
+    try:
+        return datetime.fromisoformat(value.replace("Z", "+00:00"))
+    except ValueError:
+        raise SchemaError(field, f"not an RFC3339 timestamp: {value!r}") from None
+
+
+def parse_record_reference(obj, strict=True):
+    """The table-driven record parser that the generated ``parse_telemetry_record`` replaced.
+
+    Its errors, their fields, messages and precedence, and its warnings
+    are the reference for the generated function.
+    """
+    if not isinstance(obj, dict):
+        raise SchemaError("<record>", "each line must be a JSON object")
+    if obj.keys() != _SCHEMA.keys():
+        for key in obj:
+            if key not in _SCHEMA:
+                if strict:
+                    raise SchemaError(key, "unknown field")
+                _log.warning("ignoring unknown telemetry field %r", key)
+    fields = {}
+    for key, exact, nullable, expected in _CHECKS:
+        try:
+            value = obj[key]
+        except KeyError:
+            raise SchemaError(key, "missing") from None
+        kind = type(value)
+        if kind not in exact:
+            if value is not None:
+                raise SchemaError(key, expected + kind.__name__)
+            if not nullable:
+                raise SchemaError(key, "must not be null")
+        elif kind is not str:
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an integer too large for a float
+                finite = False
+            if not finite:
+                raise SchemaError(key, f"must be a finite number, got {value}")
+        fields[key] = value
+    fields["window_start"] = _parse_rfc3339(fields["window_start"], "window_start")
+    fields["window_end"] = _parse_rfc3339(fields["window_end"], "window_end")
+    fields["cpu_user_time_s"] = float(fields["cpu_user_time_s"])
+    fields["cpu_alloc_cores"] = float(fields["cpu_alloc_cores"])
+    return TelemetrySample(**fields)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import pickle
 from datetime import timedelta
 from typing import ClassVar
@@ -140,6 +141,34 @@ def test_sample_bad_value_names_field(field, value):
 def test_sample_negative_kpi_rejected():
     with pytest.raises(SchemaError):
         make_sample(kpi_value=-0.5)
+
+
+_NUMBERS = [
+    "cpu_user_time_s", "cpu_alloc_cores", "mem_refs", "l1_miss", "l2_miss", "l3_miss", "mbw_bytes",
+    "mbw_alloc_bytes_per_s", "llc_alloc_kib", "kpi_value",
+]
+
+
+@pytest.mark.parametrize("field", _NUMBERS)
+def test_sample_infinite_value_names_field(field):
+    with pytest.raises(SchemaError) as exc:
+        make_sample(**{field: math.inf})
+    assert (exc.value.field, str(exc.value)) == (field, f"field {field!r}: must be finite")
+
+
+@pytest.mark.parametrize("field", _NUMBERS)
+def test_sample_nan_or_negative_infinity_breaks_the_sign_rule(field):
+    for value in (math.nan, -math.inf):
+        with pytest.raises(SchemaError) as exc:
+            make_sample(**{field: value})
+        assert exc.value.field == field
+        assert str(exc.value).startswith(f"field {field!r}: must be >")
+
+
+def test_sample_sign_rules_come_before_finiteness():
+    with pytest.raises(SchemaError) as exc:
+        make_sample(cpu_alloc_cores=math.inf, kpi_value=-1.0)
+    assert exc.value.field == "kpi_value"
 
 
 def test_sample_window_length():

@@ -9,15 +9,17 @@ import urllib.request
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from buoyancy import BuoyancyReport, Engine, NodeReport, ResourceScores, SloSpec
+from buoyancy import BuoyancyReport, Engine, NodeReport, ResourceScores, SchemaError, SloSpec
 from buoyancy import server as server_module
 from buoyancy.exposition import CONTENT_TYPE, METRIC_NAMES, render_openmetrics
 from buoyancy.server import AgentConfig, MetricsAgent, _json_default, make_server, report_to_json
 from buoyancy.errors import BindError, ConfigError
 
 from . import openmetrics
-from .conftest import EPOCH, make_sample, no_unclosed_file, two_workload_replay
+from .conftest import EPOCH, TABLE_TOPO, make_sample, no_unclosed_file, two_workload_replay
 
 
 def _agent_config_dict(replay_path, window_s=0.05):
@@ -153,6 +155,49 @@ JSON_REPORTS = [
 def test_report_to_json_matches_asdict(report):
     # dataclasses.asdict is the reference that report_to_json replaced.
     assert report_to_json(report) == json.dumps(dataclasses.asdict(report), default=_json_default)
+
+
+#: Telemetry-sized values: an LLC share of at least 1 KiB, and no sum or
+#: ratio near the float maximum, which the scoring arithmetic does not guard.
+_SAMPLE_FIELDS = st.fixed_dictionaries(
+    {
+        "cpu_user_time_s": st.floats(0.0, 1e6),
+        "cpu_alloc_cores": st.floats(1e-3, 1e4),
+        "mem_refs": st.integers(0, 10**15),
+        "l1_miss": st.integers(0, 10**15),
+        "l2_miss": st.integers(0, 10**15),
+        "l3_miss": st.integers(0, 10**15),
+        "mbw_bytes": st.integers(0, 10**15),
+        "mbw_alloc_bytes_per_s": st.none() | st.floats(1.0, 1e13),
+        "llc_alloc_kib": st.none() | st.floats(1.0, 1e6),
+        "kpi_value": st.none() | st.floats(0.0, 1e9),
+    }
+)
+_NOT_FINITE = st.tuples(
+    st.sampled_from(["cpu_user_time_s", "cpu_alloc_cores", "mbw_bytes", "llc_alloc_kib", "kpi_value"]),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+
+
+@given(
+    windows=st.lists(st.lists(st.tuples(_SAMPLE_FIELDS, st.none() | _NOT_FINITE), max_size=2), min_size=1, max_size=2),
+    slo=st.floats(1e-3, 1e6),
+)
+def test_report_json_is_strict_json_for_valid_samples(windows, slo):
+    engine = Engine(topology=TABLE_TOPO, node_cores=8.0, slos={"w0": SloSpec("p95_latency_ms", slo)})
+    for index, window in enumerate(windows):
+        batch = []
+        for i, (fields, spoiled) in enumerate(window):
+            if spoiled:
+                with pytest.raises(SchemaError):
+                    make_sample(**{**fields, spoiled[0]: spoiled[1]})
+            else:
+                batch.append(make_sample(workload_id=f"w{i}", window_index=index, **fields))
+        if batch:
+            report = engine.step(batch)
+            # json.loads reads NaN and Infinity back, and allow_nan=False rejects them.
+            for body in [report_to_json(report)] + [report_to_json(wr) for wr in report.workload_reports]:
+                json.dumps(json.loads(body), allow_nan=False)
 
 
 # -------------------------------------------------------------------- server

@@ -1,8 +1,11 @@
 import json
+import logging
 import math
 import statistics
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from buoyancy import (
     Allocation,
@@ -19,9 +22,11 @@ from buoyancy import (
     fit_mrc,
     miss_ratios,
 )
-from buoyancy.sources import parse_telemetry_record
+from buoyancy import sources
+from buoyancy.sources import _SCHEMA, parse_telemetry_record
 
 from .conftest import no_unclosed_file, record_dict, two_workload_replay, write_jsonl
+from .oracles import parse_record_reference
 
 
 # -------------------------------------------------------------------- replay
@@ -176,6 +181,126 @@ def test_replay_bad_line_ends_stream(tmp_path, monkeypatch, lines, delivered, er
 
     with no_unclosed_file(monkeypatch, path):
         replay()
+
+
+# ----------------------------------------------------- generated record parser
+
+#: Values each schema field is set to in turn: wrong types, empties, signs,
+#: non-finite floats, and the integers on either side of the largest one a
+#: float can hold (``isfinite`` accepts the first and overflows on the second).
+_BAD_VALUES = [
+    None, True, "", "4", [1.0], {}, 1.5, -1, 0, math.nan, math.inf, -math.inf,
+    10**400, 2**1024 - 2**970 - 1, 2**1024 - 2**970,
+]
+
+
+def _parsed(parse, obj, strict=True):
+    """What ``parse`` makes of ``obj``: the sample or the error, and the warnings it logs."""
+    warned = []
+    handler = logging.Handler()
+    handler.emit = lambda record: warned.append(record.getMessage())
+    logger = logging.getLogger("buoyancy.sources")
+    logger.addHandler(handler)
+    try:
+        result = parse(obj, strict=strict)
+    except Exception as exc:  # the type, field and message must all match
+        result = type(exc), getattr(exc, "field", None), str(exc)
+    finally:
+        logger.removeHandler(handler)
+    return result, warned
+
+
+def _parity(obj, strict=True):
+    assert _parsed(parse_telemetry_record, obj, strict) == _parsed(parse_record_reference, obj, strict)
+
+
+def _with(key, value):
+    record = record_dict(llc_alloc_kib=2048.0, kpi_value=4.0)
+    record[key] = value
+    return record
+
+
+@pytest.mark.parametrize("key", list(_SCHEMA))
+def test_parser_matches_reference_on_each_bad_value(key):
+    removed = record_dict()
+    del removed[key]
+    _parity(removed)
+    for value in _BAD_VALUES:
+        _parity(_with(key, value))
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize(
+    "extra,drop",
+    [
+        ({"surprise": 1}, None),
+        ({"surprise": 1, "another": None}, None),
+        ({"surprise": 1}, "l2_miss"),
+        ({"surprise": 1, "mem_refs": 1.5}, "kpi_value"),
+        ({"kpi_value": math.inf, "surprise": []}, None),
+    ],
+)
+def test_parser_matches_reference_on_unknown_fields(strict, extra, drop):
+    record = record_dict()
+    record.update(extra)
+    if drop:
+        del record[drop]
+    _parity(record, strict)
+
+
+@pytest.mark.parametrize("obj", [None, [], [record_dict()], "record", 1, list(record_dict().items())])
+def test_parser_matches_reference_on_non_objects(obj):
+    _parity(obj)
+
+
+_ANY_VALUE = (
+    st.sampled_from(_BAD_VALUES)
+    | st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=12)
+    | st.sampled_from(["2026-01-01T00:00:00Z", "2026-01-01T00:00:01", "2026-01-01T00:00:02+01:00"])
+)
+
+
+_DROP = object()
+
+
+@st.composite
+def _corrupted_records(draw):
+    record = record_dict(
+        mbw_alloc_bytes_per_s=draw(st.sampled_from([None, 10**9])),
+        llc_alloc_kib=draw(st.sampled_from([None, 2048.0])),
+        kpi_value=draw(st.sampled_from([None, 4.0])),
+    )
+    changes = draw(st.dictionaries(st.sampled_from([*_SCHEMA, "surprise", "x"]), st.just(_DROP) | _ANY_VALUE, max_size=4))
+    for key, value in changes.items():
+        if value is _DROP:
+            record.pop(key, None)
+        else:
+            record[key] = value
+    return record
+
+
+@given(record=_corrupted_records(), strict=st.booleans())
+def test_parser_matches_reference_on_corrupted_records(record, strict):
+    _parity(record, strict)
+
+
+def test_replay_calls_the_module_parser_once_per_record(tmp_path, monkeypatch):
+    # Tracing wraps sources.parse_telemetry_record where the replay looks it
+    # up; a parser bound as a local or a closure would hide every call.
+    source = ReplaySource(two_workload_replay(tmp_path / "telemetry.jsonl", windows=3))
+    parsed = []
+
+    def counting(obj, strict=True):
+        parsed.append(obj["workload_id"])
+        return parse_telemetry_record(obj, strict=strict)
+
+    monkeypatch.setattr(sources, "parse_telemetry_record", counting)
+    batches = list(source)
+    assert parsed == [s.workload_id for batch in batches for s in batch] == ["w1", "w2"] * 3
 
 
 _LINE = json.dumps(record_dict())
@@ -426,6 +551,20 @@ def test_plant_rejected_step_keeps_the_clock():
     plant.interference = 0.5
     after_rejection, _ = plant.step(allocation)
     fresh, _ = ContentionPlant(_single_plant()).step(allocation)
+    assert after_rejection[0].window_start == fresh[0].window_start
+
+
+def test_plant_infinite_kpi_is_rejected():
+    # At full interference the service rate is 0 and the closed-form latency
+    # infinite; an infinite KPI would reach /v1/node as -Infinity.
+    allocation = {"svc": Allocation(cores=4.0, load_rps=10.0)}
+    plant = ContentionPlant(_single_plant(interference_sensitivity=1.0), interference=1.0)
+    with pytest.raises(SchemaError) as exc:
+        plant.step(allocation)
+    assert exc.value.field == "kpi_value"
+    plant.interference = 0.5
+    after_rejection, _ = plant.step(allocation)
+    fresh, _ = ContentionPlant(_single_plant(interference_sensitivity=1.0)).step(allocation)
     assert after_rejection[0].window_start == fresh[0].window_start
 
 
