@@ -68,8 +68,10 @@ def build(tp: Any, value: Any, where: str) -> Any:
 
     ``tp`` is a config dataclass or a field type of one: ``Optional[X]``,
     ``tuple[X, ...]`` from an array, ``dict[str, X]`` from an object, or a
-    scalar. ``where`` is the location that errors name.
+    scalar; a MISSING value is an error. ``where`` is the location that errors name.
     """
+    if value is _MISSING:
+        raise ConfigError(f"{where}: missing")
     if tp in _EXPECTED:
         if tp is float or tp is int:
             number = isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -93,10 +95,8 @@ def build(tp: Any, value: Any, where: str) -> Any:
     kwargs = {}
     for f in dataclasses.fields(tp):
         raw, at = _lookup(obj, f.metadata.get("json", (f.name,)), where)
-        if raw is not _MISSING:
+        if raw is not _MISSING or (f.default is _MISSING and f.default_factory is _MISSING):
             kwargs[f.name] = build(f.type, raw, at)
-        elif f.default is _MISSING and f.default_factory is _MISSING:
-            raise ConfigError(f"{at}: missing")
     try:
         return tp(**kwargs)
     except (ValueError, BuoyancyError) as exc:

@@ -19,7 +19,7 @@ import statistics
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
-from .config import build, config_field, read_json
+from .config import _lookup, build, config_field, read_json
 from .engine import Engine, EngineConfig
 from .model import SloSpec, value_type
 from .sources import Allocation, ContentionPlant, PlantConfig
@@ -71,7 +71,7 @@ class InterferenceSchedule:
     @staticmethod
     def from_dict(obj: dict) -> "InterferenceSchedule":
         """From ``{"steps": [{"window": W, "level": L}, ...]}``, in any order."""
-        steps = build(_ScheduleFile, obj, "schedule").steps
+        steps = build(tuple[_ScheduleStep, ...], *_lookup(obj, ("steps",), "schedule"))
         return InterferenceSchedule(steps=tuple(sorted((s.window, s.level) for s in steps)))
 
     @staticmethod
@@ -87,11 +87,6 @@ class _ScheduleStep:
     def __post_init__(self):
         if not 0.0 <= self.level <= 1.0:
             raise ValueError(f"level must be in [0, 1], got {self.level}")
-
-
-@dataclass(frozen=True, slots=True)
-class _ScheduleFile:
-    steps: tuple[_ScheduleStep, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,9 +139,12 @@ class ExtremumSeeker:
     _demod_sum: float = 0.0
     _error_sum: float = 0.0
     _applied: float = field(init=False, default=0.0)
+    _sines: tuple[float, ...] = field(init=False, repr=False)  # the perturbation at each phase index
 
     def __post_init__(self):
         self.base = self._clip_base(self.base)
+        period = self.config.perturb_period
+        self._sines = tuple(math.sin(2.0 * math.pi * i / period) for i in range(period))
 
     def _clip_base(self, value: float) -> float:
         cfg = self.config
@@ -156,13 +154,10 @@ class ExtremumSeeker:
             return (cfg.min_cores + cfg.max_cores) / 2.0
         return min(max(value, lo), hi)
 
-    def _sin(self) -> float:
-        return math.sin(2.0 * math.pi * self._phase_index / self.config.perturb_period)
-
     def next_allocation(self) -> float:
         """Cores to apply this window (base plus perturbation, in bounds)."""
         cfg = self.config
-        raw = self.base + cfg.perturb_amplitude * self._sin()
+        raw = self.base + cfg.perturb_amplitude * self._sines[self._phase_index]
         self._applied = min(max(raw, cfg.min_cores), cfg.max_cores)
         return self._applied
 
@@ -174,7 +169,7 @@ class ExtremumSeeker:
             error = (measured - cfg.setpoint) / scale
         else:
             error = (cfg.setpoint - measured) / scale
-        self._demod_sum += error * self._sin()
+        self._demod_sum += error * self._sines[self._phase_index]
         self._error_sum += error
         self._phase_index += 1
         if self._phase_index < cfg.perturb_period:
@@ -200,6 +195,9 @@ def run_experiment(
     """Closed-loop runs over seeded repetitions; returns every window record."""
     wid = experiment.workload_id
     node_cores = plant_config.total_cores if experiment.node_cores is None else experiment.node_cores
+    llc_kib, load_rps = experiment.llc_alloc_kib, experiment.load_rps
+    setpoint, mode = ctrl.setpoint, ctrl.mode
+    by_buoyancy = mode == MODE_BUOYANCY
     records: list[ControlRecord] = []
     for rep in range(experiment.repetitions):
         seed = plant_config.seed + rep
@@ -214,31 +212,11 @@ def run_experiment(
         for t in range(experiment.windows):
             plant.interference = schedule.level(t)
             cores = seeker.next_allocation()
-            batch, _ = plant.step(
-                {
-                    wid: Allocation(
-                        cores=cores,
-                        llc_kib=experiment.llc_alloc_kib,
-                        load_rps=experiment.load_rps,
-                    )
-                }
-            )
-            report = engine.step(batch)
-            workload_report = report.workload_reports[0]
+            batch, _ = plant.step({wid: Allocation(cores, llc_kib, load_rps)})
+            b = engine.step(batch).workload_reports[0].buoyancy
             measured_p95 = batch[0].kpi_value
-            measured = workload_report.buoyancy if ctrl.mode == MODE_BUOYANCY else measured_p95
-            seeker.observe(measured)
-            records.append(
-                ControlRecord(
-                    window=t,
-                    seed=seed,
-                    cores=cores,
-                    p95_ms=measured_p95,
-                    buoyancy=workload_report.buoyancy,
-                    setpoint=ctrl.setpoint,
-                    mode=ctrl.mode,
-                )
-            )
+            seeker.observe(b if by_buoyancy else measured_p95)
+            records.append(ControlRecord(t, seed, cores, measured_p95, b, setpoint, mode))
     return records
 
 

@@ -135,13 +135,19 @@ def node_resource_scores(
     """
     if not scored:
         raise EmptyNode("node has no samples to aggregate")
-    window = scored[0][0].window_s
-    cpu_total = math.fsum(s.cpu_user_time_s for s, _ in scored)
-    mbw_total = math.fsum(s.mbw_bytes for s, _ in scored) / window
-    cpu = min(cpu_total / (node_cores * window), 1.0)
-    mbw = min(mbw_total / theoretical_max_mbw(topology), 1.0)
-    llc = math.fsum(r.llc for _, r in scored) / len(scored)
-    return ResourceScores(cpu=cpu, llc=llc, mbw=mbw)
+    cpu_s = math.fsum(s.cpu_user_time_s for s, _ in scored)
+    llc_sum = math.fsum(r.llc for _, r in scored)
+    traffic = math.fsum(s.mbw_bytes for s, _ in scored)
+    window_s, peak_mbw = scored[0][0].window_s, theoretical_max_mbw(topology)
+    return _node_scores(cpu_s, llc_sum, traffic, len(scored), window_s, node_cores, peak_mbw)
+
+
+def _node_scores(
+    cpu_s: float, llc_sum: float, traffic: float, n: int, window_s: float, node_cores: float, peak_mbw: float
+) -> ResourceScores:
+    """Node scores from the batch's total CPU time, LLC score sum and traffic."""
+    cpu = min(cpu_s / (node_cores * window_s), 1.0)
+    return ResourceScores(cpu, llc_sum / n, min(traffic / window_s / peak_mbw, 1.0))
 
 
 def log_change(low: float, high: float) -> float:
@@ -180,31 +186,40 @@ class Engine:
         self.slos = dict(slos or {})
         self.config = config or EngineConfig()
         self._state: dict[str, _WorkloadState] = {}
+        self._peak_mbw = theoretical_max_mbw(topology)
 
     def step(self, batch: Sequence[TelemetrySample]) -> NodeReport:
-        """Score one window's batch (one sample per workload) into a report."""
+        """Score one window's batch (one sample per workload) into a report.
+
+        The batch is checked before any state changes. The scoring loop
+        fills the lists that the node figures sum: ``node_resource_scores``
+        takes the same ``math.fsum`` totals (correctly rounded, so the
+        container does not matter) to the same ``_node_scores``.
+        """
+        states = self._state
         seen = set()
         # Node CPU and MBW divide by one window length: the first sample's.
-        window = (batch[0].window_start, batch[0].window_end) if batch else None
+        start, end = (batch[0].window_start, batch[0].window_end) if batch else (None, None)
         for sample in batch:
-            if sample.workload_id in seen:
-                raise ValueError(f"duplicate sample for workload {sample.workload_id!r}")
-            if (sample.window_start, sample.window_end) != window:
-                raise ValueError(f"batch spans more than one window at {sample.workload_id!r}")
-            seen.add(sample.workload_id)
+            wid = sample.workload_id
+            if wid in seen:
+                raise ValueError(f"duplicate sample for workload {wid!r}")
+            if sample.window_start != start or sample.window_end != end:
+                raise ValueError(f"batch spans more than one window at {wid!r}")
+            seen.add(wid)
 
-        # Age out workloads that left the node.
-        for wid in list(self._state):
-            if wid not in seen:
-                state = self._state[wid]
-                state.missed_windows += 1
-                if state.missed_windows > self.config.expiry_windows:
-                    del self._state[wid]
+        cfg = self.config
+        if not states.keys() <= seen:  # age out workloads that left the node
+            for wid in list(states):
+                if wid not in seen:
+                    state = states[wid]
+                    state.missed_windows += 1
+                    if state.missed_windows > cfg.expiry_windows:
+                        del states[wid]
 
         if not batch:
             raise EmptyNode("empty telemetry batch")
 
-        cfg = self.config
         alpha = cfg.alpha
         threshold = cfg.violation_threshold
         w = cfg.ema_factor
@@ -212,10 +227,9 @@ class Engine:
         smooth = w < 1.0
         topology = self.topology
         slos = self.slos
-        states = self._state
-        window_s = batch[0].window_s
+        window_s = (end - start).total_seconds()
         reports: list[BuoyancyReport] = []
-        scored: list[tuple[TelemetrySample, ResourceScores]] = []
+        cpu_times, traffic, llcs, buoyancies = [], [], [], []
         for sample in batch:
             wid = sample.workload_id
             scores = score_workload(sample, topology, window_s)
@@ -223,7 +237,7 @@ class Engine:
             kpi = sample.kpi_value
             state = states.get(wid)
             if state is None:
-                states[wid] = _WorkloadState(scores=scores, last_kpi=kpi)
+                states[wid] = _WorkloadState(scores, kpi)
             else:
                 if smooth:
                     old = state.scores
@@ -243,15 +257,14 @@ class Engine:
             mn = math.fsum((cpu, llc, mbw)) / 3
             b = p * (1.0 - mx if mx == mn else alpha * (1.0 - mx) + (1.0 - alpha) * (1.0 - mn))
             reports.append(BuoyancyReport(wid, p, b, scores, b <= threshold))
-            scored.append((sample, scores))
+            cpu_times.append(sample.cpu_user_time_s)
+            traffic.append(sample.mbw_bytes)
+            llcs.append(llc)
+            buoyancies.append(b)
 
-        return NodeReport(
-            node_resource_scores=node_resource_scores(scored, self.topology, self.node_cores),
-            node_buoyancy=node_buoyancy([r.buoyancy for r in reports], alpha),
-            workload_reports=reports,
-            window_start=batch[0].window_start,
-            window_end=batch[0].window_end,
-        )
+        totals = math.fsum(cpu_times), math.fsum(llcs), math.fsum(traffic)
+        node_scores = _node_scores(*totals, len(batch), window_s, self.node_cores, self._peak_mbw)
+        return NodeReport(node_scores, node_buoyancy(buoyancies, alpha), reports, start, end)
 
     @property
     def tracked_workloads(self) -> list[str]:

@@ -15,7 +15,9 @@ from .errors import InvalidSlo, NonIncreasingCacheSizes, NonPositiveGeometry, Sc
 #: SLO violation.
 DEFAULT_VIOLATION_THRESHOLD = 0.1
 
-_INF = float("inf")
+#: The least integer that ``float()`` cannot hold: it rounds up to 2**1024.
+#: Every finite float is below it, and infinity and NaN are not.
+_FLOAT_LIMIT = 2**1024 - 2**970
 
 
 def value_type(cls):
@@ -143,14 +145,16 @@ class TelemetrySample:
             raise SchemaError("window_end", "both window bounds must carry a UTC offset, or neither") from None
         if not ordered:
             raise SchemaError("window_end", "window must end after it starts")
-        # Every number's sign and finiteness in one expression; each bound also fails on NaN.
+        # Every number's sign and finiteness in one expression; each bound also fails on NaN,
+        # and the upper one on an integer too large for a float.
         if not (
-            0 < self.cpu_alloc_cores < _INF and 0 <= self.cpu_user_time_s < _INF and 0 <= self.mem_refs < _INF
-            and 0 <= self.l1_miss < _INF and 0 <= self.l2_miss < _INF and 0 <= self.l3_miss < _INF
-            and 0 <= self.mbw_bytes < _INF
-            and (self.mbw_alloc_bytes_per_s is None or 0 < self.mbw_alloc_bytes_per_s < _INF)
-            and (self.llc_alloc_kib is None or 0 < self.llc_alloc_kib < _INF)
-            and (self.kpi_value is None or 0 <= self.kpi_value < _INF)
+            0 < self.cpu_alloc_cores < _FLOAT_LIMIT and 0 <= self.cpu_user_time_s < _FLOAT_LIMIT
+            and 0 <= self.mem_refs < _FLOAT_LIMIT and 0 <= self.l1_miss < _FLOAT_LIMIT
+            and 0 <= self.l2_miss < _FLOAT_LIMIT and 0 <= self.l3_miss < _FLOAT_LIMIT
+            and 0 <= self.mbw_bytes < _FLOAT_LIMIT
+            and (self.mbw_alloc_bytes_per_s is None or 0 < self.mbw_alloc_bytes_per_s < _FLOAT_LIMIT)
+            and (self.llc_alloc_kib is None or 0 < self.llc_alloc_kib < _FLOAT_LIMIT)
+            and (self.kpi_value is None or 0 <= self.kpi_value < _FLOAT_LIMIT)
         ):
             self._reject_number()
 
@@ -167,8 +171,10 @@ class TelemetrySample:
                 raise SchemaError(name, "must be > 0 when present")
         if self.kpi_value is not None and not self.kpi_value >= 0:
             raise SchemaError("kpi_value", "must be >= 0")
-        name = next(f.name for f in fields(self) if getattr(self, f.name) == _INF)
-        raise SchemaError(name, "must be finite")
+        for f in fields(self)[3:]:  # the numbers, after the id and the window bounds
+            value = getattr(self, f.name)
+            if value is not None and not value < _FLOAT_LIMIT:
+                raise SchemaError(f.name, "must be finite")
 
     @property
     def window_s(self) -> float:

@@ -307,27 +307,33 @@ class ContentionPlant:
     interference: float = 0.0
     _rng: random.Random = dc_field(init=False, repr=False)
     _window_index: int = dc_field(init=False, default=0, repr=False)
-    _workloads: dict[str, PlantWorkload] = dc_field(init=False, repr=False)
+    #: Each workload with its L1, L2 and full-L3 miss ratios, which the config fixes.
+    _workloads: dict[str, tuple[PlantWorkload, float, float, float]] = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         self._rng = random.Random(self.config.seed)
-        self._workloads = {w.id: w for w in self.config.workloads}
-
-    def _noisy(self, value: float) -> float:
-        sigma = self.config.noise_sigma
-        if sigma <= 0 or value == 0 or not math.isfinite(value):
-            return value
-        return max(value * (1.0 + sigma * self._rng.gauss(0.0, 1.0)), 0.0)
+        topo = self.config.topology
+        fixed = (topo.l1_size_kib, topo.l2_size_kib, topo.l3_size_kib)
+        self._workloads = {w.id: (w, *map(w.miss_ratio, fixed)) for w in self.config.workloads}
 
     def step(
         self, allocations: Mapping[str, Allocation]
     ) -> tuple[list[TelemetrySample], dict[str, float]]:
         """Advance one window; returns (samples, true p95 latencies by id)."""
         cfg = self.config
-        topo = cfg.topology
         cfg.check_capacity(allocations)
-        if not 0.0 <= self.interference <= 1.0:
+        interference = self.interference
+        if not 0.0 <= interference <= 1.0:
             raise ValueError("interference must be in [0, 1]")
+        l3_kib = cfg.topology.l3_size_kib
+        sigma = cfg.noise_sigma
+        gauss = self._rng.gauss
+
+        def noisy(value: float) -> float:
+            """Multiplicative Gaussian noise; 0 and non-finite values pass through."""
+            if sigma <= 0 or value == 0 or not math.isfinite(value):
+                return value
+            return max(value * (1.0 + sigma * gauss(0.0, 1.0)), 0.0)
 
         window = cfg.window_s
         start = _EPOCH + timedelta(seconds=self._window_index * window)
@@ -336,37 +342,22 @@ class ContentionPlant:
         samples: list[TelemetrySample] = []
         true_latency: dict[str, float] = {}
         for wid, alloc in allocations.items():
-            w = self._workloads[wid]
+            w, m_l1, m_l2, m_ref = self._workloads[wid]
             lam = alloc.load_rps
-            s_llc = alloc.llc_kib if alloc.llc_kib is not None else topo.l3_size_kib
-
-            latency = w.p95_latency_ms(alloc.cores, lam, self.interference)
+            llc_kib = alloc.llc_kib
+            latency = w.p95_latency_ms(alloc.cores, lam, interference)
             true_latency[wid] = latency
-
-            m_l1 = w.miss_ratio(topo.l1_size_kib)
-            m_l2 = w.miss_ratio(topo.l2_size_kib)
-            m_l3 = w.miss_ratio(s_llc)
-            m_ref = w.miss_ratio(topo.l3_size_kib)
+            m_l3 = w.miss_ratio(l3_kib if llc_kib is None else llc_kib)
 
             refs = lam * window * REFS_PER_REQUEST
             cpu_time = min(lam / w.service_rate_per_core, alloc.cores) * window
             mbw = lam * window * w.mbw_per_req_bytes * (m_l3 / m_ref)
-
+            # Arguments evaluate left to right, so the noise is drawn in field order.
             samples.append(
                 TelemetrySample(
-                    workload_id=wid,
-                    window_start=start,
-                    window_end=end,
-                    cpu_user_time_s=self._noisy(cpu_time),
-                    cpu_alloc_cores=alloc.cores,
-                    mem_refs=round(self._noisy(refs)),
-                    l1_miss=round(self._noisy(refs * m_l1)),
-                    l2_miss=round(self._noisy(refs * m_l2)),
-                    l3_miss=round(self._noisy(refs * m_l3)),
-                    mbw_bytes=round(self._noisy(mbw)),
-                    mbw_alloc_bytes_per_s=None,
-                    llc_alloc_kib=alloc.llc_kib,
-                    kpi_value=self._noisy(latency),
+                    wid, start, end, noisy(cpu_time), alloc.cores, round(noisy(refs)),
+                    round(noisy(refs * m_l1)), round(noisy(refs * m_l2)), round(noisy(refs * m_l3)),
+                    round(noisy(mbw)), None, llc_kib, noisy(latency),
                 )
             )
         self._window_index += 1  # a rejected step keeps the clock

@@ -2,21 +2,27 @@
 
 These deliberately avoid the code paths under test: the log-log OLS
 oracle goes through numpy.polyfit, the closed-form plant map restates
-the plant and scoring equations directly, and the record parser is the
-table-driven loop that the generated parser replaced.
+the plant and scoring equations directly, and the record parser, the
+engine step and the plant step are the earlier implementations that the
+faster ones replaced, kept as bit-parity references.
 """
 
 import logging
 import math
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from buoyancy.errors import SchemaError
-from buoyancy.model import TelemetrySample
-from buoyancy.sources import _SCHEMA
+from buoyancy.controller import MODE_LATENCY, ExtremumSeeker
+from buoyancy.engine import NodeReport, _WorkloadState, node_buoyancy, perf_score
+from buoyancy.errors import EmptyNode, SchemaError
+from buoyancy.model import BuoyancyReport, ResourceScores, TelemetrySample, theoretical_max_mbw
+from buoyancy.scores import score_workload
+from buoyancy.sources import _SCHEMA, REFS_PER_REQUEST
 
 _log = logging.getLogger("buoyancy.sources")
+
+_PLANT_EPOCH = datetime(2026, 1, 1, tzinfo=timezone.utc)
 
 
 def ols_loglog(sizes, ratios):
@@ -155,3 +161,185 @@ def parse_record_reference(obj, strict=True):
     fields["cpu_user_time_s"] = float(fields["cpu_user_time_s"])
     fields["cpu_alloc_cores"] = float(fields["cpu_alloc_cores"])
     return TelemetrySample(**fields)
+
+
+def node_resource_scores_reference(scored, topology, node_cores):
+    """``node_resource_scores`` as written before its arithmetic moved to ``engine._node_scores``."""
+    if not scored:
+        raise EmptyNode("node has no samples to aggregate")
+    window = scored[0][0].window_s
+    cpu_total = math.fsum(s.cpu_user_time_s for s, _ in scored)
+    mbw_total = math.fsum(s.mbw_bytes for s, _ in scored) / window
+    cpu = min(cpu_total / (node_cores * window), 1.0)
+    mbw = min(mbw_total / theoretical_max_mbw(topology), 1.0)
+    llc = math.fsum(r.llc for _, r in scored) / len(scored)
+    return ResourceScores(cpu=cpu, llc=llc, mbw=mbw)
+
+
+def engine_step_reference(engine, batch):
+    """The three-pass ``Engine.step`` that the one-pass step replaced.
+
+    Pass one checks the batch for duplicates and mixed windows, pass two
+    ages absent workloads, pass three scores; the node figures then come
+    from ``node_resource_scores_reference`` and ``node_buoyancy``. It reads and
+    updates ``engine``'s state exactly as the engine does.
+    """
+    seen = set()
+    window = (batch[0].window_start, batch[0].window_end) if batch else None
+    for sample in batch:
+        if sample.workload_id in seen:
+            raise ValueError(f"duplicate sample for workload {sample.workload_id!r}")
+        if (sample.window_start, sample.window_end) != window:
+            raise ValueError(f"batch spans more than one window at {sample.workload_id!r}")
+        seen.add(sample.workload_id)
+
+    for wid in list(engine._state):
+        if wid not in seen:
+            state = engine._state[wid]
+            state.missed_windows += 1
+            if state.missed_windows > engine.config.expiry_windows:
+                del engine._state[wid]
+
+    if not batch:
+        raise EmptyNode("empty telemetry batch")
+
+    cfg = engine.config
+    alpha = cfg.alpha
+    w = cfg.ema_factor
+    keep = 1.0 - w
+    window_s = batch[0].window_s
+    reports = []
+    scored = []
+    for sample in batch:
+        wid = sample.workload_id
+        scores = score_workload(sample, engine.topology, window_s)
+        cpu, llc, mbw = scores.cpu, scores.llc, scores.mbw
+        kpi = sample.kpi_value
+        state = engine._state.get(wid)
+        if state is None:
+            engine._state[wid] = _WorkloadState(scores=scores, last_kpi=kpi)
+        else:
+            if w < 1.0:
+                old = state.scores
+                cpu = w * cpu + keep * old.cpu
+                llc = w * llc + keep * old.llc
+                mbw = w * mbw + keep * old.mbw
+                scores = ResourceScores(cpu, llc, mbw)
+            if kpi is None:
+                kpi = state.last_kpi
+            state.scores = scores
+            state.last_kpi = kpi
+            state.missed_windows = 0
+        p = perf_score(kpi, engine.slos.get(wid))
+        mx = max(cpu, llc, mbw)
+        mn = math.fsum((cpu, llc, mbw)) / 3
+        b = p * (1.0 - mx if mx == mn else alpha * (1.0 - mx) + (1.0 - alpha) * (1.0 - mn))
+        reports.append(BuoyancyReport(wid, p, b, scores, b <= cfg.violation_threshold))
+        scored.append((sample, scores))
+
+    return NodeReport(
+        node_resource_scores=node_resource_scores_reference(scored, engine.topology, engine.node_cores),
+        node_buoyancy=node_buoyancy([r.buoyancy for r in reports], alpha),
+        workload_reports=reports,
+        window_start=batch[0].window_start,
+        window_end=batch[0].window_end,
+    )
+
+
+def _noisy_reference(plant, value):
+    sigma = plant.config.noise_sigma
+    if sigma <= 0 or value == 0 or not math.isfinite(value):
+        return value
+    return max(value * (1.0 + sigma * plant._rng.gauss(0.0, 1.0)), 0.0)
+
+
+def plant_step_reference(plant, allocations):
+    """The ``ContentionPlant.step`` and ``_noisy`` that the hoisted plant step replaced.
+
+    Every miss ratio is computed per step, and the noise is drawn from
+    ``plant``'s generator in the same order: CPU, refs, L1, L2, L3,
+    traffic, KPI. It advances ``plant``'s clock as the plant does.
+    """
+    cfg = plant.config
+    topo = cfg.topology
+    cfg.check_capacity(allocations)
+    if not 0.0 <= plant.interference <= 1.0:
+        raise ValueError("interference must be in [0, 1]")
+
+    window = cfg.window_s
+    start = _PLANT_EPOCH + timedelta(seconds=plant._window_index * window)
+    end = start + timedelta(seconds=window)
+
+    samples = []
+    true_latency = {}
+    for wid, alloc in allocations.items():
+        w = cfg.workload(wid)
+        lam = alloc.load_rps
+        s_llc = alloc.llc_kib if alloc.llc_kib is not None else topo.l3_size_kib
+
+        latency = w.p95_latency_ms(alloc.cores, lam, plant.interference)
+        true_latency[wid] = latency
+
+        m_l1 = w.miss_ratio(topo.l1_size_kib)
+        m_l2 = w.miss_ratio(topo.l2_size_kib)
+        m_l3 = w.miss_ratio(s_llc)
+        m_ref = w.miss_ratio(topo.l3_size_kib)
+
+        refs = lam * window * REFS_PER_REQUEST
+        cpu_time = min(lam / w.service_rate_per_core, alloc.cores) * window
+        mbw = lam * window * w.mbw_per_req_bytes * (m_l3 / m_ref)
+
+        samples.append(
+            TelemetrySample(
+                workload_id=wid,
+                window_start=start,
+                window_end=end,
+                cpu_user_time_s=_noisy_reference(plant, cpu_time),
+                cpu_alloc_cores=alloc.cores,
+                mem_refs=round(_noisy_reference(plant, refs)),
+                l1_miss=round(_noisy_reference(plant, refs * m_l1)),
+                l2_miss=round(_noisy_reference(plant, refs * m_l2)),
+                l3_miss=round(_noisy_reference(plant, refs * m_l3)),
+                mbw_bytes=round(_noisy_reference(plant, mbw)),
+                mbw_alloc_bytes_per_s=None,
+                llc_alloc_kib=alloc.llc_kib,
+                kpi_value=_noisy_reference(plant, latency),
+            )
+        )
+    plant._window_index += 1
+    return samples, true_latency
+
+
+class SeekerReference(ExtremumSeeker):
+    """The ``ExtremumSeeker`` that evaluated ``math.sin`` in every window, before the sines were tabled."""
+
+    def _sin(self):
+        return math.sin(2.0 * math.pi * self._phase_index / self.config.perturb_period)
+
+    def next_allocation(self):
+        cfg = self.config
+        raw = self.base + cfg.perturb_amplitude * self._sin()
+        self._applied = min(max(raw, cfg.min_cores), cfg.max_cores)
+        return self._applied
+
+    def observe(self, measured):
+        cfg = self.config
+        scale = max(abs(cfg.setpoint), 1e-9)
+        if cfg.mode == MODE_LATENCY:
+            error = (measured - cfg.setpoint) / scale
+        else:
+            error = (cfg.setpoint - measured) / scale
+        self._demod_sum += error * self._sin()
+        self._error_sum += error
+        self._phase_index += 1
+        if self._phase_index < cfg.perturb_period:
+            return
+        gradient = 2.0 * self._demod_sum / (cfg.perturb_period * cfg.perturb_amplitude)
+        mean_error = self._error_sum / cfg.perturb_period
+        step = -cfg.gain * mean_error * gradient
+        limit = 2.0 * cfg.perturb_amplitude
+        step = min(max(step, -limit), limit)
+        self.base = self._clip_base(self.base + step)
+        self._phase_index = 0
+        self._demod_sum = 0.0
+        self._error_sum = 0.0

@@ -1,13 +1,19 @@
+import dataclasses
+import math
 import statistics
 
 import pytest
 
-from buoyancy import PlantConfig, PlantWorkload, SloSpec, demo_plant_config
+from buoyancy import Allocation, ContentionPlant, Engine, EngineConfig, PlantConfig, PlantWorkload, SloSpec
+from buoyancy import demo_plant_config
 from buoyancy.analysis import format_csv
+from buoyancy.config import plant_config_from_dict, read_json
 from buoyancy.controller import (
+    MODE_BUOYANCY,
     ControlRecord,
     ControllerConfig,
     ExperimentConfig,
+    ExtremumSeeker,
     InterferenceSchedule,
     controller_config_from_dict,
     run_experiment,
@@ -15,7 +21,7 @@ from buoyancy.controller import (
 )
 from buoyancy.errors import ConfigError
 
-from .oracles import StaticPlantMap
+from .oracles import SeekerReference, StaticPlantMap, engine_step_reference, plant_step_reference
 
 SLO = SloSpec("p95_latency_ms", 16.0)
 
@@ -96,6 +102,21 @@ def test_schedule_from_dict_and_errors():
     assert sched.level(4) == 0.0 and sched.level(5) == 0.2
     with pytest.raises(ConfigError):
         InterferenceSchedule.from_dict({"steps": [{"window": "soon"}]})
+
+
+@pytest.mark.parametrize("obj,message", [
+    ([], "schedule: expected an object, got []"),
+    ({}, "schedule.steps: missing"),
+    ({"steps": None}, "schedule.steps: expected an array, got null"),
+    ({"steps": [1]}, "schedule.steps[0]: expected an object, got 1"),
+    ({"steps": [{"window": 1}]}, "schedule.steps[0].level: missing"),
+    ({"steps": [{"window": 1, "level": 0.5}, {"window": 2, "level": 2}]},
+     "schedule.steps[1]: level must be in [0, 1], got 2.0"),
+])
+def test_schedule_errors_name_their_location(obj, message):
+    with pytest.raises(ConfigError) as exc:
+        InterferenceSchedule.from_dict(obj)
+    assert str(exc.value) == message
 
 
 def test_controller_config_from_dict():
@@ -234,6 +255,66 @@ def test_records_csv_header():
     lines = text.strip().split("\n")
     assert lines[0] == "window,seed,cores,p95_ms,buoyancy,setpoint,mode"
     assert len(lines) == 9
+
+
+@pytest.mark.parametrize("mode,setpoint", [("latency", 10.0), ("buoyancy", 0.2)])
+@pytest.mark.parametrize("period", [4, 7, 12, 13, 64])
+def test_seeker_matches_per_window_sine_reference(mode, setpoint, period):
+    ctrl = ControllerConfig(mode=mode, setpoint=setpoint, perturb_period=period, perturb_amplitude=0.75, gain=1.5)
+    seeker, reference = ExtremumSeeker(config=ctrl, base=4.0), SeekerReference(config=ctrl, base=4.0)
+    for t in range(5 * period + 3):
+        assert seeker.next_allocation() == reference.next_allocation()
+        measured = setpoint * (1.0 + 0.5 * math.cos(0.37 * t)) + 0.01 * seeker._applied
+        seeker.observe(measured)
+        reference.observe(measured)
+        got = (seeker.base, seeker._phase_index, seeker._demod_sum, seeker._error_sum, seeker._applied)
+        assert got == (reference.base, reference._phase_index, reference._demod_sum, reference._error_sum,
+                       reference._applied)
+
+
+def _run_experiment_reference(plant_config, ctrl, schedule, experiment):
+    """``run_experiment`` as it was written before the window loop was hoisted, on the reference pieces."""
+    wid = experiment.workload_id
+    node_cores = plant_config.total_cores if experiment.node_cores is None else experiment.node_cores
+    records = []
+    for rep in range(experiment.repetitions):
+        seed = plant_config.seed + rep
+        plant = ContentionPlant(dataclasses.replace(plant_config, seed=seed))
+        engine = Engine(
+            topology=plant_config.topology,
+            node_cores=node_cores,
+            slos={wid: experiment.slo} if experiment.slo else {},
+            config=EngineConfig(alpha=experiment.alpha),
+        )
+        seeker = SeekerReference(config=ctrl, base=experiment.initial_cores)
+        for t in range(experiment.windows):
+            plant.interference = schedule.level(t)
+            cores = seeker.next_allocation()
+            allocation = Allocation(cores=cores, llc_kib=experiment.llc_alloc_kib, load_rps=experiment.load_rps)
+            batch, _ = plant_step_reference(plant, {wid: allocation})
+            workload_report = engine_step_reference(engine, batch).workload_reports[0]
+            measured_p95 = batch[0].kpi_value
+            seeker.observe(workload_report.buoyancy if ctrl.mode == MODE_BUOYANCY else measured_p95)
+            records.append(ControlRecord(
+                window=t, seed=seed, cores=cores, p95_ms=measured_p95, buoyancy=workload_report.buoyancy,
+                setpoint=ctrl.setpoint, mode=ctrl.mode,
+            ))
+    return records
+
+
+@pytest.mark.parametrize("mode,setpoint,repetitions", [("buoyancy", None, 10), ("latency", 10.0, 3)])
+def test_bundled_experiment_matches_reference_loop(mode, setpoint, repetitions):
+    plant = plant_config_from_dict(read_json("configs/controller_plant.json", "plant config"))
+    ctrl, experiment = controller_config_from_dict(read_json("configs/controller_buoyancy.json", "controller config"))
+    schedule = InterferenceSchedule.from_file("configs/schedule_step.json")
+    if setpoint is not None:
+        ctrl = dataclasses.replace(ctrl, mode=mode, setpoint=setpoint)
+    experiment = dataclasses.replace(experiment, repetitions=repetitions)
+    got = run_experiment(plant, ctrl, schedule, experiment)
+    want = _run_experiment_reference(plant, ctrl, schedule, experiment)
+    assert len(got) == experiment.windows * repetitions
+    assert got == want
+    assert repr(got) == repr(want)
 
 
 def test_unknown_workload_rejected_early():

@@ -25,6 +25,7 @@ from buoyancy import (
 from buoyancy import engine as engine_module
 
 from .conftest import TABLE_TOPO, make_sample
+from .oracles import engine_step_reference, node_resource_scores_reference
 
 
 # ---------------------------------------------------------------- perf score
@@ -395,6 +396,107 @@ def test_node_report_convexity(topo):
     report = engine.step(batch)
     bs = [r.buoyancy for r in report.workload_reports]
     assert min(bs) <= report.node_buoyancy <= math.fsum(bs) / len(bs)
+
+
+def _workload_states(engine):
+    """Every tracked workload's missed windows, smoothed scores and carried KPI, in state order."""
+    return repr([(wid, s.missed_windows, s.scores, s.last_kpi) for wid, s in engine._state.items()])
+
+
+def test_step_rejected_batch_leaves_state_unchanged(topo):
+    engine = _engine(topo, config=EngineConfig(ema_factor=0.5))
+    engine.step([make_sample(kpi_value=5.0), make_sample(workload_id="w2", kpi_value=7.0),
+                 make_sample(workload_id="w3")])
+    engine.step([make_sample(window_index=1, cpu_user_time_s=1.0), make_sample(workload_id="w2", window_index=1)])
+    tracked, states = engine.tracked_workloads, _workload_states(engine)
+    # Each bad sample comes last, after samples a scoring pass would already have folded in,
+    # and w3 is absent, so an ageing pass before the check would count a miss.
+    rejected = {
+        "duplicate": [make_sample(window_index=2, cpu_user_time_s=1.9, kpi_value=9.0),
+                      make_sample(workload_id="w2", window_index=2, kpi_value=1.0),
+                      make_sample(window_index=2)],
+        "one window": [make_sample(window_index=2, cpu_user_time_s=1.9, kpi_value=9.0),
+                       make_sample(workload_id="w2", window_index=3)],
+    }
+    for message, batch in rejected.items():
+        with pytest.raises(ValueError, match=message):
+            engine.step(batch)
+        assert engine.tracked_workloads == tracked == ["w1", "w2", "w3"]
+        assert _workload_states(engine) == states
+
+
+_WORKLOAD_IDS = [f"w{i}" for i in range(6)]
+
+#: One sample's counters: CPU time and cores, memory references and the three
+#: miss fractions, traffic, the MBW and LLC allocations, and the KPI.
+_COUNTERS = st.tuples(
+    st.floats(0.0, 4.0),
+    st.floats(0.25, 4.0),
+    st.integers(0, 10**7),
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    st.integers(0, 10**11),
+    st.none() | st.sampled_from([1e9, 4e10]),
+    st.none() | st.sampled_from([1024.0, 2048.0, 12288.0]),
+    st.none() | st.floats(0.0, 30.0),
+)
+
+#: One step: the workloads present (churn), the window length, and how the batch is spoiled, if at all.
+_BATCH = st.tuples(
+    st.lists(st.tuples(st.sampled_from(_WORKLOAD_IDS), _COUNTERS), max_size=5, unique_by=lambda t: t[0]),
+    st.sampled_from([1.0, 2.0, 0.3]),
+    st.sampled_from(["ok", "ok", "ok", "ok", "duplicate", "mixed windows"]),
+)
+
+
+def _drawn_batch(index, drawn):
+    present, window_s, spoil = drawn
+    batch = []
+    for wid, (cpu, cores, refs, (f1, f2, f3), traffic, mbw_alloc, llc, kpi) in present:
+        batch.append(make_sample(
+            workload_id=wid, window_index=index, window_s=window_s, cpu_user_time_s=cpu, cpu_alloc_cores=cores,
+            mem_refs=refs, l1_miss=round(refs * f1), l2_miss=round(refs * f2), l3_miss=round(refs * f3),
+            mbw_bytes=traffic, mbw_alloc_bytes_per_s=mbw_alloc, llc_alloc_kib=llc, kpi_value=kpi,
+        ))
+    if batch and spoil == "duplicate":
+        batch.append(batch[0])
+    elif batch and spoil == "mixed windows":
+        batch.append(make_sample(workload_id="late", window_index=index + 1, window_s=window_s))
+    return batch
+
+
+def _outcome(step, batch):
+    try:
+        return step(batch)
+    except (ValueError, EmptyNode) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    batches=st.lists(_BATCH, min_size=1, max_size=8),
+    alpha=st.floats(0.0, 1.0),
+    ema_factor=st.sampled_from([1.0, 0.5, 0.3]),
+    expiry_windows=st.sampled_from([0, 1, 3]),
+    with_slo=st.sets(st.sampled_from(_WORKLOAD_IDS)),
+    node_cores=st.floats(1.0, 16.0),
+)
+def test_step_matches_three_pass_reference(batches, alpha, ema_factor, expiry_windows, with_slo, node_cores):
+    slos = {wid: SloSpec("p95_latency_ms", 10.0) for wid in with_slo}
+    slos["w5"] = SloSpec("p95_latency_ms", None)  # an SLO entry without a value
+    config = EngineConfig(alpha=alpha, ema_factor=ema_factor, expiry_windows=expiry_windows)
+    engine, reference = (Engine(TABLE_TOPO, node_cores, slos, config) for _ in range(2))
+    for index, drawn in enumerate(batches):
+        batch = _drawn_batch(index, drawn)
+        got = _outcome(engine.step, batch)
+        want = _outcome(lambda b: engine_step_reference(reference, b), batch)
+        assert got == want
+        assert repr(got) == repr(want)  # bit for bit, signed zeros too
+        assert _workload_states(engine) == _workload_states(reference)
+        if isinstance(got, engine_module.NodeReport):  # the public aggregation agrees with the step's
+            scored = [(s, r.resource_scores) for s, r in zip(batch, got.workload_reports)]
+            node = node_resource_scores(scored, TABLE_TOPO, node_cores)
+            assert repr(node) == repr(node_resource_scores_reference(scored, TABLE_TOPO, node_cores))
+            assert repr(node) == repr(got.node_resource_scores)
 
 
 def test_engine_config_validation():

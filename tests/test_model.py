@@ -156,6 +156,28 @@ def test_sample_infinite_value_names_field(field):
     assert (exc.value.field, str(exc.value)) == (field, f"field {field!r}: must be finite")
 
 
+#: The least integer that ``float()`` cannot convert: it would round to 2**1024.
+_FLOAT_OVERFLOW = 2**1024 - 2**970
+
+
+@pytest.mark.parametrize("field", _NUMBERS)
+def test_sample_integer_too_large_for_a_float_is_not_finite(field):
+    with pytest.raises(OverflowError):
+        float(_FLOAT_OVERFLOW)
+    with pytest.raises(SchemaError) as exc:
+        make_sample(**{field: _FLOAT_OVERFLOW})
+    assert (exc.value.field, str(exc.value)) == (field, f"field {field!r}: must be finite")
+    with pytest.raises(SchemaError, match="must be finite"):
+        make_sample(**{field: 10**400})
+
+
+@pytest.mark.parametrize("field", _NUMBERS)
+def test_sample_largest_integer_a_float_holds_is_accepted(field):
+    largest = _FLOAT_OVERFLOW - 1
+    assert math.isfinite(largest)  # the replay parser's rule
+    assert getattr(make_sample(**{field: largest}), field) == largest
+
+
 @pytest.mark.parametrize("field", _NUMBERS)
 def test_sample_nan_or_negative_infinity_breaks_the_sign_rule(field):
     for value in (math.nan, -math.inf):

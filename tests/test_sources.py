@@ -26,7 +26,7 @@ from buoyancy import sources
 from buoyancy.sources import _SCHEMA, parse_telemetry_record
 
 from .conftest import no_unclosed_file, record_dict, two_workload_replay, write_jsonl
-from .oracles import parse_record_reference
+from .oracles import parse_record_reference, plant_step_reference
 
 
 # -------------------------------------------------------------------- replay
@@ -566,6 +566,58 @@ def test_plant_infinite_kpi_is_rejected():
     after_rejection, _ = plant.step(allocation)
     fresh, _ = ContentionPlant(_single_plant(interference_sensitivity=1.0)).step(allocation)
     assert after_rejection[0].window_start == fresh[0].window_start
+
+
+def _parity_plant(seed, noise):
+    """Three workloads, one of which stalls (infinite latency) at full interference."""
+    def workload(wid, working_set_kib, sensitivity):
+        return PlantWorkload(id=wid, service_rate_per_core=100.0, base_latency_ms=2.0, latency_gain=1600.0,
+                             working_set_kib=working_set_kib, mbw_per_req_bytes=87e6,
+                             interference_sensitivity=sensitivity)
+
+    return PlantConfig(
+        workloads=(workload("web", 48.0, 0.8), workload("batch", 600.0, 0.2), workload("stall", 20.0, 1.0)),
+        topology=demo_plant_config().topology,
+        total_cores=12.0,
+        seed=seed,
+        noise_sigma=noise,
+    )
+
+
+#: (interference, allocations) per step: LLC set and unset, loads from idle to
+#: overload, workloads absent and reordered, a stalled workload and an
+#: out-of-range interference, both rejected.
+_PARITY_STEPS = [
+    (0.0, {"web": Allocation(4.0, 2048.0, 200.0), "batch": Allocation(2.0, None, 150.0)}),
+    (0.3, {"batch": Allocation(3.0, 1024.0, 0.0), "web": Allocation(4.0, None, 390.0)}),
+    (0.8, {"web": Allocation(2.0, 4096.0, 100.0), "stall": Allocation(1.0, 512.0, 50.0),
+           "batch": Allocation(1.0, None, 80.0)}),
+    (1.0, {"web": Allocation(4.0, 2048.0, 200.0), "stall": Allocation(1.0, None, 50.0)}),
+    (1.5, {"web": Allocation(4.0, 2048.0, 200.0)}),
+    (0.5, {"stall": Allocation(2.0, 6144.0, 120.0), "web": Allocation(6.0, 2048.0, 300.0)}),
+    (1.0, {"batch": Allocation(8.0, 12288.0, 700.0)}),
+]
+
+
+def _plant_outcome(step, allocations):
+    try:
+        return step(allocations)
+    except (ValueError, SchemaError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 100])
+@pytest.mark.parametrize("noise", [0.0, 0.01])
+def test_plant_step_matches_reference(seed, noise):
+    plant, reference = ContentionPlant(_parity_plant(seed, noise)), ContentionPlant(_parity_plant(seed, noise))
+    for interference, allocations in _PARITY_STEPS * 2:
+        plant.interference = reference.interference = interference
+        got = _plant_outcome(plant.step, allocations)
+        want = _plant_outcome(lambda a: plant_step_reference(reference, a), allocations)
+        assert got == want
+        assert repr(got) == repr(want)  # samples and true latencies, bit for bit
+        assert plant._rng.getstate() == reference._rng.getstate()
+        assert plant._window_index == reference._window_index
 
 
 def test_plant_timestamps_advance():
