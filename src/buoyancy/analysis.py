@@ -18,8 +18,9 @@ from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Sequence
 
 from .config import AgentConfig, build, read_json
-from .engine import Engine, buoyancy, log_change
+from .engine import DEFAULT_ALPHA, buoyancy, log_change
 from .errors import ConfigError, InsufficientData, SchemaError
+from .model import DEFAULT_VIOLATION_THRESHOLD
 from .sources import ReplaySource
 
 
@@ -108,12 +109,7 @@ def analyze_replay(
     index ranges (end exclusive). By default the replay is split into
     equal halves: first half low, second half high.
     """
-    engine = Engine(
-        topology=config.topology,
-        node_cores=config.node_cores,
-        slos=config.slos,
-        config=config.engine,
-    )
+    engine = config.new_engine()
     kpi: dict[str, list[tuple[int, float]]] = {}
     buoy: dict[str, list[tuple[int, float]]] = {}
     source = ReplaySource(replay_path, strict=config.replay_strict)
@@ -121,10 +117,8 @@ def analyze_replay(
     for index, batch in enumerate(source):
         report = engine.step(batch)
         n_windows = index + 1
-        by_id = {s.workload_id: s for s in batch}
-        for wr in report.workload_reports:
+        for sample, wr in zip(batch, report.workload_reports):
             buoy.setdefault(wr.workload_id, []).append((index, wr.buoyancy))
-            sample = by_id[wr.workload_id]
             if sample.kpi_value is not None:
                 kpi.setdefault(wr.workload_id, []).append((index, sample.kpi_value))
 
@@ -217,26 +211,26 @@ class SurfacePoint:
     below_threshold: bool
 
 
-def surface_points(
-    alpha: float = 0.7,
-    step: float = 0.05,
-    threshold: float = 0.1,
-    second_scores: Sequence[float] = (0.3, 0.8),
-) -> list[SurfacePoint]:
-    """Buoyancy over a (P, r) grid, single-score plus fixed-second-score cases."""
+#: The fixed second scores of the surface's two-score cases.
+SECOND_SCORES = (0.3, 0.8)
+
+
+def surface_points(alpha: float = DEFAULT_ALPHA, step: float = 0.05) -> list[SurfacePoint]:
+    """Buoyancy over a (P, r) grid, single-score plus fixed-second-score cases.
+
+    ``below_threshold`` compares with the engine's default violation threshold.
+    """
     if not 0.0 < step <= 0.5:
         raise ValueError(f"step must be in (0, 0.5], got {step}")
     n = math.floor(1.0 / step + 1e-9) + 1
     grid = [i * step for i in range(n)]
     points = []
     cases: list[tuple[str, Optional[float]]] = [("single", None)]
-    cases.extend((f"second={s:g}", s) for s in second_scores)
+    cases.extend((f"second={s:g}", s) for s in SECOND_SCORES)
     for case, second in cases:
         for p in grid:
             for r in grid:
                 scores = [r] if second is None else [r, second]
                 b = buoyancy(p, scores, alpha)
-                points.append(
-                    SurfacePoint(case=case, p=p, r=r, b=b, below_threshold=b <= threshold)
-                )
+                points.append(SurfacePoint(case, p, r, b, b <= DEFAULT_VIOLATION_THRESHOLD))
     return points

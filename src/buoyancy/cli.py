@@ -16,11 +16,13 @@ import logging
 import signal
 import sys
 import threading
+import time
 
 from . import analysis, controller
 from .config import AgentConfig, build, plant_config_from_dict, read_json
 from .errors import BuoyancyError, CapacityExceeded, ConfigError
-from .server import report_to_json, serve
+from .engine import DEFAULT_ALPHA
+from .server import MetricsAgent, make_server, report_to_json
 from .sources import Allocation
 
 log = logging.getLogger(__name__)
@@ -44,21 +46,23 @@ def _write_out(text: str, out_path):
 def cmd_serve(args) -> int:
     config = AgentConfig.from_file(args.config)
     host, port = _parse_listen(args.listen)
-    bound = {}
-
-    def ready(server):
-        bound["server"] = server
-        log.info("listening on %s:%s", *server.server_address[:2])
-
-        def handle_signal(signum, frame):
-            # shutdown() blocks until the serve loop exits, so it must not
-            # run on the thread executing serve_forever.
-            threading.Thread(target=server.shutdown, daemon=True).start()
-
-        signal.signal(signal.SIGINT, handle_signal)
-        signal.signal(signal.SIGTERM, handle_signal)
-
-    final = serve(config, host, port, ready=ready)
+    agent = MetricsAgent(config)
+    server = make_server(agent, host, port)
+    # The handler only appends: taking a lock there could deadlock this thread.
+    signals = []
+    signal.signal(signal.SIGINT, lambda signum, frame: signals.append(signum))
+    signal.signal(signal.SIGTERM, lambda signum, frame: signals.append(signum))
+    agent.start()
+    threading.Thread(target=server.serve_forever, args=(0.1,), name="http", daemon=True).start()
+    log.info("listening on %s:%s", *server.server_address[:2])
+    while not signals and agent.error is None:  # a normal end of the replay keeps serving
+        time.sleep(0.1)
+    server.shutdown()
+    agent.stop()
+    server.server_close()
+    if agent.error is not None:
+        raise BuoyancyError(f"engine loop stopped: {agent.error}")
+    final = agent.snapshot()
     if final is not None:
         sys.stdout.write(report_to_json(final) + "\n")
     return 0
@@ -147,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("surface", help="dump the buoyancy surface grid")
-    p.add_argument("--alpha", type=float, default=0.7)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p.add_argument("--step", type=float, default=0.05)
     p.add_argument("--out", help="write to file instead of stdout")
     p.set_defaults(func=cmd_surface)

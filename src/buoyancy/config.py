@@ -15,7 +15,7 @@ import json
 import math
 from typing import Any, Optional, Union, get_args, get_origin
 
-from .engine import EngineConfig
+from .engine import Engine, EngineConfig
 from .errors import BuoyancyError, ConfigError
 from .model import CacheTopology, SloSpec, validate_topology
 from .sources import Allocation, PlantConfig
@@ -138,8 +138,8 @@ class AgentConfig:
             if self.replay_path is None:
                 raise ValueError("a replay source needs source.path")
         elif self.source_type == "plant":
-            if self.plant is None or self.allocations is None:
-                raise ValueError("a plant source needs source.plant and source.allocations")
+            if self.plant is None or not self.allocations:
+                raise ValueError("a plant source needs source.plant and a non-empty source.allocations")
             unknown = set(self.allocations) - {w.id for w in self.plant.workloads}
             if unknown:
                 raise ValueError(f"allocations name workloads the plant lacks: {sorted(unknown)}")
@@ -148,6 +148,10 @@ class AgentConfig:
                 raise ValueError(f"source.interference must be in [0, 1], got {self.interference}")
         else:
             raise ValueError(f"source.type must be 'replay' or 'plant', got {self.source_type!r}")
+
+    def new_engine(self) -> Engine:
+        """A fresh engine for this node: its topology, cores, SLOs and tuning."""
+        return Engine(self.topology, self.node_cores, self.slos, self.engine)
 
     @staticmethod
     def from_dict(obj: dict) -> "AgentConfig":

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from .config import _lookup, build, config_field, read_json
-from .engine import Engine, EngineConfig
+from .engine import DEFAULT_ALPHA, Engine, EngineConfig
 from .model import SloSpec, value_type
 from .sources import Allocation, ContentionPlant, PlantConfig
 
@@ -101,7 +101,7 @@ class ExperimentConfig:
     repetitions: int = 10
     slo: Optional[SloSpec] = None
     node_cores: Optional[float] = None  # default: plant total_cores
-    alpha: float = 0.7
+    alpha: float = DEFAULT_ALPHA
 
     def __post_init__(self):
         if self.windows < 1:

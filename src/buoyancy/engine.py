@@ -191,6 +191,7 @@ class Engine:
     def step(self, batch: Sequence[TelemetrySample]) -> NodeReport:
         """Score one window's batch (one sample per workload) into a report.
 
+        Its workload reports follow the batch, one per sample, in order.
         The batch is checked before any state changes. The scoring loop
         fills the lists that the node figures sum: ``node_resource_scores``
         takes the same ``math.fsum`` totals (correctly rounded, so the

@@ -22,7 +22,7 @@ from typing import Optional
 # Re-exported from buoyancy.config: callers written before that module
 # existed import AgentConfig and plant_config_from_dict from here.
 from .config import AgentConfig, plant_config_from_dict  # noqa: F401
-from .engine import Engine, NodeReport
+from .engine import NodeReport
 from .errors import BindError, EmptyNode
 from .exposition import CONTENT_TYPE, render_openmetrics
 from .model import BuoyancyReport, ResourceScores
@@ -108,12 +108,7 @@ class MetricsAgent:
 
     def __init__(self, config: AgentConfig):
         self.config = config
-        self.engine = Engine(
-            topology=config.topology,
-            node_cores=config.node_cores,
-            slos=config.slos,
-            config=config.engine,
-        )
+        self.engine = config.new_engine()
         if config.source_type == "replay":
             self._source = ReplaySource(config.replay_path, strict=config.replay_strict)
         else:
@@ -227,21 +222,3 @@ def make_server(agent: MetricsAgent, host: str, port: int) -> ThreadingHTTPServe
     except OSError as exc:
         raise BindError(f"cannot bind {host}:{port}: {exc}") from None
 
-
-def serve(config: AgentConfig, host: str, port: int, ready=None) -> NodeReport:
-    """Run the agent until interrupted; returns the final report snapshot.
-
-    ``ready`` is an optional callback invoked with the bound server once
-    listening (used by tests to learn the ephemeral port).
-    """
-    agent = MetricsAgent(config)
-    server = make_server(agent, host, port)
-    agent.start()
-    if ready is not None:
-        ready(server)
-    try:
-        server.serve_forever(poll_interval=0.1)
-    finally:
-        agent.stop()
-        server.server_close()
-    return agent.snapshot()

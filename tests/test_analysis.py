@@ -73,6 +73,13 @@ def test_medians_file_schema_error(tmp_path):
         load_medians_file(str(path))
 
 
+def test_medians_file_empty_workload_list(tmp_path):
+    path = tmp_path / "medians.json"
+    path.write_text('{"workloads": []}')
+    with pytest.raises(SchemaError, match="non-empty workload list"):
+        load_medians_file(str(path))
+
+
 def test_bundled_reference_medians_reproduce_summary():
     medians = load_medians_file("configs/headroom_medians.json")
     report = analyze_medians(medians)
@@ -136,6 +143,13 @@ def test_replay_analysis_needs_kpi(tmp_path):
     config = AgentConfig.from_dict(_agent_config_dict(path))
     with pytest.raises(InsufficientData):
         analyze_replay(path, config)
+
+
+def test_replay_analysis_segment_without_observations(tmp_path):
+    path = _two_phase_replay(tmp_path)
+    config = AgentConfig.from_dict(_agent_config_dict(path))
+    with pytest.raises(InsufficientData, match=r"no KPI observations in windows \[8, 10\)"):
+        analyze_replay(path, config, segments={"low": (0, 4), "high": (8, 10)})
 
 
 # ---------------------------------------------------------------- formatting

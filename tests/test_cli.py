@@ -128,7 +128,8 @@ def test_controller_sim_cli(tmp_path, capsys):
     assert "median cores" in capsys.readouterr().err
 
 
-def test_serve_end_to_end_subprocess(tmp_path):
+def _serve_then_signal(tmp_path, signum):
+    """Serve the bundled replay, check a scrape, then stop ``serve`` with ``signum``."""
     config = _agent_config_dict("configs/replay_demo.jsonl", window_s=0.1)
     config["slo"] = {"webapp": {"kpi_name": "p95_latency_ms", "slo_value": 16.0}}
     config_path = tmp_path / "agent.json"
@@ -162,7 +163,7 @@ def test_serve_end_to_end_subprocess(tmp_path):
         assert body and 'buoyancy_score{workload_id="webapp"}' in body
         with urllib.request.urlopen(f"{base}/healthz", timeout=2) as resp:
             assert resp.read() == b"ok"
-        proc.send_signal(signal.SIGINT)
+        proc.send_signal(signum)
         out, _ = proc.communicate(timeout=10)
         assert proc.returncode == 0
         final = json.loads(out.strip().splitlines()[-1])
@@ -171,6 +172,45 @@ def test_serve_end_to_end_subprocess(tmp_path):
         if proc.poll() is None:
             proc.kill()
             proc.communicate()
+
+
+def test_serve_end_to_end_subprocess(tmp_path):
+    _serve_then_signal(tmp_path, signal.SIGINT)
+
+
+def test_serve_sigterm_exits_0_with_final_report(tmp_path):
+    _serve_then_signal(tmp_path, signal.SIGTERM)
+
+
+def test_serve_exits_2_once_engine_loop_died(tmp_path):
+    with open("configs/replay_demo.jsonl", encoding="utf-8") as fh:
+        lines = fh.readlines()[:5]
+    lines[4] = lines[4][:40] + "\n"  # the 5th line is truncated
+    replay = tmp_path / "truncated.jsonl"
+    replay.write_text("".join(lines))
+    config_path = tmp_path / "agent.json"
+    config_path.write_text(json.dumps(_agent_config_dict(str(replay), window_s=0.1)))
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "buoyancy.cli", "serve",
+         "--config", str(config_path), "--listen", "127.0.0.1:0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=20)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 2
+    assert err.splitlines()[-1].startswith("error: engine loop stopped: ParseError")
+    assert out == ""
+
+
+def test_serve_bad_listen_exits_1(capsys):
+    assert main(["serve", "--config", "configs/agent_replay.json", "--listen", "localhost"]) == 1
+    assert capsys.readouterr().err.startswith("config error: --listen must be HOST:PORT")
 
 
 def test_runtime_imports_without_numpy_or_hypothesis():

@@ -40,6 +40,10 @@ def _parent(obj, path):
     return obj, last
 
 
+#: A second plant workload under the bundled plant's one id.
+_TWIN = {"id": "svc", "service_rate_per_core": 1, "base_latency_ms": 0, "latency_gain": 1, "working_set_kib": 1,
+         "mbw_per_req_bytes": 0}
+
 # (case id, file, path to the bad value, bad value, location named by the error)
 BAD_CONFIGS = [
     ("agent-l3-ways-zero", "agent_replay.json", ("topology", "l3_ways"), 0, "config"),
@@ -65,9 +69,22 @@ BAD_CONFIGS = [
     ("agent-allocation-cores-over-capacity", "agent_plant.json",
      ("source", "allocations", "webapp", "cores"), 9, "config"),
     ("agent-interference-above-one", "agent_plant.json", ("source", "interference"), 1.5, "config"),
+    ("agent-replay-path-null", "agent_replay.json", ("source", "path"), None, "config"),
+    ("agent-allocations-null", "agent_plant.json", ("source", "allocations"), None, "config"),
+    ("agent-allocations-empty", "agent_plant.json", ("source", "allocations"), {}, "config"),
     ("plant-l3-ways-zero", "controller_plant.json", ("topology", "l3_ways"), 0, "plant"),
     ("plant-workload-id-empty", "controller_plant.json", ("workloads", 0, "id"), "",
      "plant.workloads[0]"),
+    ("plant-workload-latency-gain-zero", "controller_plant.json", ("workloads", 0, "latency_gain"), 0,
+     "plant.workloads[0]"),
+    ("plant-workload-base-latency-negative", "controller_plant.json", ("workloads", 0, "base_latency_ms"), -1,
+     "plant.workloads[0]"),
+    ("plant-workload-working-set-zero", "controller_plant.json", ("workloads", 0, "working_set_kib"), 0,
+     "plant.workloads[0]"),
+    ("plant-workload-ids-duplicate", "controller_plant.json", ("workloads",), [_TWIN, _TWIN], "plant"),
+    ("plant-total-cores-zero", "controller_plant.json", ("total_cores",), 0, "plant"),
+    ("plant-window-zero", "controller_plant.json", ("window_s",), 0, "plant"),
+    ("plant-noise-negative", "controller_plant.json", ("noise_sigma",), -0.01, "plant"),
     ("experiment-repetitions-zero", "controller_buoyancy.json", ("experiment", "repetitions"), 0,
      "controller.experiment"),
     ("experiment-windows-zero", "controller_buoyancy.json", ("experiment", "windows"), 0,

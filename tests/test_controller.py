@@ -153,6 +153,17 @@ def test_allocation_always_within_bounds():
     assert all(2.0 <= r.cores <= 5.0 for r in records)
 
 
+def test_seeker_pins_base_to_the_middle_of_narrow_bounds():
+    # Bounds narrower than twice the amplitude leave the base no room to move.
+    ctrl = ControllerConfig(mode="latency", setpoint=10.0, perturb_amplitude=1.0, min_cores=2.0, max_cores=3.0)
+    seeker = ExtremumSeeker(config=ctrl, base=7.0)
+    assert seeker.base == 2.5
+    for t in range(3 * ctrl.perturb_period):
+        assert 2.0 <= seeker.next_allocation() <= 3.0
+        seeker.observe(100.0 + t)
+    assert seeker.base == 2.5
+
+
 def test_dead_band_when_setpoint_already_met():
     ctrl = ControllerConfig(mode="buoyancy", setpoint=B_AT_START)
     records = run_experiment(_plant(noise=0.01), ctrl, FLAT_SCHEDULE, _experiment(windows=160))

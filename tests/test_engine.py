@@ -499,6 +499,11 @@ def test_step_matches_three_pass_reference(batches, alpha, ema_factor, expiry_wi
             assert repr(node) == repr(got.node_resource_scores)
 
 
+def test_engine_rejects_non_positive_node_cores(topo):
+    with pytest.raises(ValueError, match="node_cores must be > 0"):
+        Engine(topology=topo, node_cores=0)
+
+
 def test_engine_config_validation():
     with pytest.raises(ValueError):
         EngineConfig(alpha=1.5)

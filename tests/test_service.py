@@ -151,6 +151,17 @@ JSON_REPORTS = [
 ]
 
 
+def test_exposition_writes_non_finite_values():
+    report = JSON_REPORTS[0].values[0]
+    text = render_openmetrics(report)
+    parsed = {name: {k: repr(v) for k, v in f.samples.items()} for name, f in openmetrics.parse(text).items()}
+    expected = {name: {k: repr(v) for k, v in s.items()} for name, s in _report_metric_values(report).items()}
+    assert parsed == expected
+    lines = text.splitlines()
+    assert {"node_resource_score_cpu NaN", "node_resource_score_llc +Inf", "node_resource_score_mbw -Inf"} <= set(lines)
+    assert 'perf_score{workload_id="w1"} NaN' in lines
+
+
 @pytest.mark.parametrize("report", JSON_REPORTS)
 def test_report_to_json_matches_asdict(report):
     # dataclasses.asdict is the reference that report_to_json replaced.
