@@ -26,7 +26,6 @@ from .errors import (
     EmptyScoreSet,
     InsufficientData,
     InvalidSlo,
-    NoMemoryTraffic,
     NonIncreasingCacheSizes,
     NonPositiveGeometry,
     NonPositiveInput,
@@ -45,12 +44,7 @@ from .model import (
 )
 from .scores import (
     MrcFit,
-    cpu_score,
     fit_mrc,
-    fit_power_law,
-    llc_score,
-    mbw_score,
-    miss_ratios,
     score_workload,
 )
 from .sources import (
@@ -81,7 +75,6 @@ __all__ = [
     "InsufficientData",
     "InvalidSlo",
     "MrcFit",
-    "NoMemoryTraffic",
     "NodeReport",
     "NonIncreasingCacheSizes",
     "NonPositiveGeometry",
@@ -96,15 +89,10 @@ __all__ = [
     "SloSpec",
     "TelemetrySample",
     "buoyancy",
-    "cpu_score",
     "demo_plant_config",
     "fit_mrc",
-    "fit_power_law",
-    "llc_score",
     "llc_way_size",
     "log_change",
-    "mbw_score",
-    "miss_ratios",
     "node_buoyancy",
     "node_resource_scores",
     "perf_score",

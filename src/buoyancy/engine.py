@@ -22,7 +22,7 @@ leave the node.
 import math
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 from .errors import EmptyNode, EmptyScoreSet, NonPositiveInput
 from .model import (
@@ -86,19 +86,12 @@ def perf_score(k_curr: Optional[float], slo: Optional[SloSpec]) -> float:
     return (slo.slo_value - k_curr) / slo.slo_value
 
 
-def _score_values(scores: Union[ResourceScores, Sequence[float]]) -> list[float]:
-    if isinstance(scores, ResourceScores):
-        return scores.values()
-    return list(scores)
-
-
-def buoyancy(p: float, scores: Union[ResourceScores, Sequence[float]], alpha: float = DEFAULT_ALPHA) -> float:
+def buoyancy(p: float, scores: Sequence[float], alpha: float = DEFAULT_ALPHA) -> float:
     """Buoyancy score b of one workload (see module docstring)."""
-    values = _score_values(scores)
-    if not values:
+    if not scores:
         raise EmptyScoreSet("buoyancy needs at least one resource score")
-    mx = max(values)
-    mn = math.fsum(values) / len(values)
+    mx = max(scores)
+    mn = math.fsum(scores) / len(scores)
     # Equal max and mean collapse algebraically to a single factor; taking
     # that branch keeps single-score surfaces and the boundary identities
     # (b = P at all-zero scores, b = 0 at all-one) exact in floating point.
@@ -253,10 +246,7 @@ class Engine:
                 state.missed_windows = 0
 
             p = perf_score(kpi, slos.get(wid))
-            # buoyancy(p, scores, alpha), written out over the three floats.
-            mx = max(cpu, llc, mbw)
-            mn = math.fsum((cpu, llc, mbw)) / 3
-            b = p * (1.0 - mx if mx == mn else alpha * (1.0 - mx) + (1.0 - alpha) * (1.0 - mn))
+            b = buoyancy(p, (cpu, llc, mbw), alpha)
             reports.append(BuoyancyReport(wid, p, b, scores, b <= threshold))
             cpu_times.append(sample.cpu_user_time_s)
             traffic.append(sample.mbw_bytes)

@@ -17,10 +17,6 @@ class InvalidSlo(BuoyancyError):
     """SLO value is zero or negative."""
 
 
-class NoMemoryTraffic(BuoyancyError):
-    """A window has no memory references, so miss ratios are undefined."""
-
-
 class EmptyScoreSet(BuoyancyError):
     """The resource score set is empty."""
 

@@ -190,9 +190,6 @@ class ResourceScores:
     llc: float
     mbw: float
 
-    def values(self) -> list[float]:
-        return [self.cpu, self.llc, self.mbw]
-
 
 @value_type
 class BuoyancyReport:

@@ -14,15 +14,16 @@ Three scores are implemented:
   the node's theoretical peak when no explicit allocation exists.
 
 All scores are clamped to [0, 1]; counter jitter and overcommit can push
-the raw ratios past 1. Everything here is a pure function of one window,
-so a node agent can smooth or aggregate on top without surprises.
+the raw ratios past 1. ``score_workload`` computes all three and
+``fit_mrc`` fits the curve; they are the only implementation of these
+rules. Everything here is a pure function of one window, so a node agent
+can smooth or aggregate on top without surprises.
 """
 
 import functools
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
-from .errors import NoMemoryTraffic
 from .model import CacheTopology, ResourceScores, TelemetrySample, llc_way_size, theoretical_max_mbw, value_type
 
 
@@ -41,60 +42,6 @@ class MrcFit:
     coeff_a: float
     exponent_b: float
     degenerate: bool = False
-
-    def __call__(self, x: float) -> float:
-        """Evaluate the fitted miss ratio at cache size ``x`` KiB."""
-        return self.coeff_a * x ** self.exponent_b
-
-    def derivative(self, x: float) -> float:
-        """Slope of the fitted curve at cache size ``x`` KiB."""
-        return self.coeff_a * self.exponent_b * x ** (self.exponent_b - 1.0)
-
-
-def cpu_score(sample: TelemetrySample) -> float:
-    """CPU score: user CPU seconds over allocated core-seconds, clamped to 1."""
-    t_alloc = sample.cpu_alloc_cores * sample.window_s
-    return min(sample.cpu_user_time_s / t_alloc, 1.0)
-
-
-def miss_ratios(sample: TelemetrySample) -> tuple[float, float, float]:
-    """Per-level cache miss ratios (L1, L2, L3) of one window."""
-    if sample.mem_refs <= 0:
-        raise NoMemoryTraffic(f"workload {sample.workload_id}: mem_refs=0")
-    n = sample.mem_refs
-    return (sample.l1_miss / n, sample.l2_miss / n, sample.l3_miss / n)
-
-
-def fit_power_law(sizes_kib: Sequence[float], ratios: Sequence[float]) -> MrcFit:
-    """OLS fit of ``ln M = b0 + b1 ln x`` over n >= 2 points.
-
-    Returns MrcFit(a=e**b0, b=b1). Any non-positive or non-finite ratio,
-    all ratios equal, or a non-negative fitted slope, yields a degenerate
-    fit instead of an error (a is kept from b0 when computable so callers
-    can still inspect the level). Equal ratios are tested directly: the
-    mean of their logs can miss the log in the last bit and leave a tiny
-    negative slope.
-    """
-    if len(sizes_kib) != len(ratios) or len(sizes_kib) < 2:
-        raise ValueError("need n >= 2 matched (size, ratio) points")
-    if any(not (m > 0) or not math.isfinite(m) for m in ratios):
-        return MrcFit(coeff_a=1.0, exponent_b=0.0, degenerate=True)
-
-    log_x = [math.log(x) for x in sizes_kib]
-    log_m = [math.log(m) for m in ratios]
-    n = len(log_x)
-    mean_x = math.fsum(log_x) / n
-    mean_m = math.fsum(log_m) / n
-    sxx = math.fsum((lx - mean_x) ** 2 for lx in log_x)
-    sxm = math.fsum((lx - mean_x) * (lm - mean_m) for lx, lm in zip(log_x, log_m))
-    if sxx == 0.0:
-        return MrcFit(coeff_a=1.0, exponent_b=0.0, degenerate=True)
-
-    beta1 = sxm / sxx
-    beta0 = mean_m - beta1 * mean_x
-    if beta1 >= 0.0 or min(ratios) == max(ratios):
-        return MrcFit(coeff_a=math.exp(beta0), exponent_b=0.0, degenerate=True)
-    return MrcFit(coeff_a=math.exp(beta0), exponent_b=beta1)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -121,9 +68,13 @@ def fit_mrc(
 
     The x coordinates are the L1 and L2 sizes plus the effective LLC
     size: the current allocation when one is set, the full L3 otherwise.
-    The arithmetic is that of ``fit_power_law``, step for step, so the
-    results are the same to the bit; only the x side is cached, per
-    (L1, L2, effective LLC) size.
+    The fit is ordinary least squares of ``ln M = b0 + b1 ln x``, giving
+    ``a = e**b0`` and ``b = b1``. Any non-positive or non-finite ratio,
+    coinciding sizes, equal ratios or a non-negative slope give a
+    degenerate fit instead of an error (``a`` is kept from ``b0`` when it
+    is computable). Equal ratios are tested directly: the mean of their
+    logs can miss the log in the last bit and leave a tiny negative slope.
+    The x side is cached per (L1, L2, effective LLC) size.
     """
     s_eff = llc_alloc_kib if llc_alloc_kib is not None else topology.l3_size_kib
     m1, m2, m3 = ratios
@@ -140,28 +91,6 @@ def fit_mrc(
     return MrcFit(coeff_a=math.exp(beta0), exponent_b=beta1)
 
 
-def llc_score(fit: MrcFit, topology: CacheTopology, s_llc: float, m_llc: float) -> float:
-    """LLC sensitivity score at allocation ``s_llc`` KiB.
-
-    ``m_llc`` is the measured L3 miss ratio, not the fitted value; the fit
-    only supplies the local slope. Degenerate fits and non-positive
-    denominators score 0 by definition rather than raising.
-    """
-    if fit.degenerate or m_llc <= 0 or s_llc <= 0:
-        return 0.0
-    predicted_delta = -fit.derivative(s_llc) * llc_way_size(topology)
-    return min(predicted_delta / m_llc, 1.0)
-
-
-def mbw_score(sample: TelemetrySample, topology: CacheTopology) -> float:
-    """Memory bandwidth score: current over allocated bytes/s, clamped."""
-    alloc = sample.mbw_alloc_bytes_per_s
-    if alloc is None:
-        alloc = theoretical_max_mbw(topology)
-    current = sample.mbw_bytes / sample.window_s
-    return min(current / alloc, 1.0)
-
-
 def score_workload(
     sample: TelemetrySample, topology: CacheTopology, window_s: Optional[float] = None
 ) -> ResourceScores:
@@ -169,17 +98,16 @@ def score_workload(
 
     A window with no memory references scores 0 on LLC while CPU and MBW
     are computed as usual. ``window_s`` is the sample's window length, when
-    the caller has it. The arithmetic of ``cpu_score``, ``mbw_score``,
-    ``miss_ratios`` and ``llc_score`` is written out here in their order of
-    operations, so the scores are the same to the bit; those functions stay
-    the reference.
+    the caller has it. The LLC score takes the slope of the ``fit_mrc``
+    curve at the effective LLC size and the measured, not the fitted, L3
+    miss ratio; a degenerate fit scores 0 rather than raising.
     """
     if window_s is None:
         window_s = sample.window_s
     cpu = min(sample.cpu_user_time_s / (sample.cpu_alloc_cores * window_s), 1.0)
     alloc = sample.mbw_alloc_bytes_per_s
     if alloc is None:
-        alloc = topology.mem_speed_mts * 1e6 * topology.mem_bus_width_bytes * topology.mem_channels
+        alloc = theoretical_max_mbw(topology)
     mbw = min(sample.mbw_bytes / window_s / alloc, 1.0)
     n = sample.mem_refs
     if n <= 0:
@@ -192,5 +120,4 @@ def score_workload(
         return ResourceScores(cpu, 0.0, mbw)
     b = fit.exponent_b
     slope = fit.coeff_a * b * s_llc ** (b - 1.0)
-    way_kib = topology.l3_size_kib / topology.l3_ways
-    return ResourceScores(cpu, min(-slope * way_kib / m_llc, 1.0), mbw)
+    return ResourceScores(cpu, min(-slope * llc_way_size(topology) / m_llc, 1.0), mbw)

@@ -283,12 +283,6 @@ class PlantConfig:
         if len(set(ids)) != len(ids):
             raise ValueError("workload ids must be unique")
 
-    def workload(self, wid: str) -> PlantWorkload:
-        for w in self.workloads:
-            if w.id == wid:
-                return w
-        raise KeyError(wid)
-
     def check_capacity(self, allocations: Mapping[str, Allocation]) -> None:
         """Raise CapacityExceeded unless the allocations fit the node's cores and LLC."""
         cores = math.fsum(a.cores for a in allocations.values())

@@ -4,7 +4,10 @@ These deliberately avoid the code paths under test: the log-log OLS
 oracle goes through numpy.polyfit, the closed-form plant map restates
 the plant and scoring equations directly, and the record parser, the
 engine step and the plant step are the earlier implementations that the
-faster ones replaced, kept as bit-parity references.
+faster ones replaced, kept as bit-parity references. The per-resource
+score functions and the n-point power-law fit are the plain forms of the
+rules that ``score_workload`` and ``fit_mrc`` run: the same arithmetic in
+the same order, so their results must agree to the bit.
 """
 
 import logging
@@ -15,14 +18,91 @@ import numpy as np
 
 from buoyancy.controller import MODE_LATENCY, ExtremumSeeker
 from buoyancy.engine import NodeReport, _WorkloadState, node_buoyancy, perf_score
-from buoyancy.errors import EmptyNode, SchemaError
-from buoyancy.model import BuoyancyReport, ResourceScores, TelemetrySample, theoretical_max_mbw
-from buoyancy.scores import score_workload
+from buoyancy.errors import BuoyancyError, EmptyNode, SchemaError
+from buoyancy.model import BuoyancyReport, ResourceScores, TelemetrySample, llc_way_size, theoretical_max_mbw
+from buoyancy.scores import MrcFit, score_workload
 from buoyancy.sources import _SCHEMA, REFS_PER_REQUEST
 
 _log = logging.getLogger("buoyancy.sources")
 
 _PLANT_EPOCH = datetime(2026, 1, 1, tzinfo=timezone.utc)
+
+
+class NoMemoryTraffic(BuoyancyError):
+    """A window has no memory references, so miss ratios are undefined."""
+
+
+def mrc_value(fit, x):
+    """The fitted miss ratio ``a * x**b`` at cache size ``x`` KiB."""
+    return fit.coeff_a * x ** fit.exponent_b
+
+
+def mrc_slope(fit, x):
+    """Slope of the fitted curve at cache size ``x`` KiB."""
+    return fit.coeff_a * fit.exponent_b * x ** (fit.exponent_b - 1.0)
+
+
+def cpu_score(sample):
+    """CPU score: user CPU seconds over allocated core-seconds, clamped to 1."""
+    t_alloc = sample.cpu_alloc_cores * sample.window_s
+    return min(sample.cpu_user_time_s / t_alloc, 1.0)
+
+
+def miss_ratios(sample):
+    """Per-level cache miss ratios (L1, L2, L3) of one window."""
+    if sample.mem_refs <= 0:
+        raise NoMemoryTraffic(f"workload {sample.workload_id}: mem_refs=0")
+    n = sample.mem_refs
+    return (sample.l1_miss / n, sample.l2_miss / n, sample.l3_miss / n)
+
+
+def fit_power_law(sizes_kib, ratios):
+    """OLS fit of ``ln M = b0 + b1 ln x`` over n >= 2 points: ``MrcFit(e**b0, b1)``.
+
+    Any non-positive or non-finite ratio, all ratios equal, or a
+    non-negative fitted slope, yields a degenerate fit instead of an error
+    (``a`` is kept from ``b0`` when computable).
+    """
+    if len(sizes_kib) != len(ratios) or len(sizes_kib) < 2:
+        raise ValueError("need n >= 2 matched (size, ratio) points")
+    if any(not (m > 0) or not math.isfinite(m) for m in ratios):
+        return MrcFit(coeff_a=1.0, exponent_b=0.0, degenerate=True)
+
+    log_x = [math.log(x) for x in sizes_kib]
+    log_m = [math.log(m) for m in ratios]
+    n = len(log_x)
+    mean_x = math.fsum(log_x) / n
+    mean_m = math.fsum(log_m) / n
+    sxx = math.fsum((lx - mean_x) ** 2 for lx in log_x)
+    sxm = math.fsum((lx - mean_x) * (lm - mean_m) for lx, lm in zip(log_x, log_m))
+    if sxx == 0.0:
+        return MrcFit(coeff_a=1.0, exponent_b=0.0, degenerate=True)
+
+    beta1 = sxm / sxx
+    beta0 = mean_m - beta1 * mean_x
+    if beta1 >= 0.0 or min(ratios) == max(ratios):
+        return MrcFit(coeff_a=math.exp(beta0), exponent_b=0.0, degenerate=True)
+    return MrcFit(coeff_a=math.exp(beta0), exponent_b=beta1)
+
+
+def llc_score(fit, topology, s_llc, m_llc):
+    """LLC sensitivity score at allocation ``s_llc`` KiB against the measured L3 miss ratio ``m_llc``.
+
+    Degenerate fits and non-positive denominators score 0.
+    """
+    if fit.degenerate or m_llc <= 0 or s_llc <= 0:
+        return 0.0
+    predicted_delta = -mrc_slope(fit, s_llc) * llc_way_size(topology)
+    return min(predicted_delta / m_llc, 1.0)
+
+
+def mbw_score(sample, topology):
+    """Memory bandwidth score: current over allocated bytes/s, clamped."""
+    alloc = sample.mbw_alloc_bytes_per_s
+    if alloc is None:
+        alloc = theoretical_max_mbw(topology)
+    current = sample.mbw_bytes / sample.window_s
+    return min(current / alloc, 1.0)
 
 
 def ols_loglog(sizes, ratios):
@@ -270,10 +350,11 @@ def plant_step_reference(plant, allocations):
     start = _PLANT_EPOCH + timedelta(seconds=plant._window_index * window)
     end = start + timedelta(seconds=window)
 
+    workloads = {w.id: w for w in cfg.workloads}
     samples = []
     true_latency = {}
     for wid, alloc in allocations.items():
-        w = cfg.workload(wid)
+        w = workloads[wid]
         lam = alloc.load_rps
         s_llc = alloc.llc_kib if alloc.llc_kib is not None else topo.l3_size_kib
 

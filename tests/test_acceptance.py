@@ -9,6 +9,7 @@ import statistics
 import threading
 import time
 import urllib.request
+from dataclasses import astuple
 
 import pytest
 
@@ -20,8 +21,7 @@ from buoyancy import (
     SloSpec,
     buoyancy,
     demo_plant_config,
-    fit_power_law,
-    llc_score,
+    fit_mrc,
     node_buoyancy,
     perf_score,
     score_workload,
@@ -38,6 +38,7 @@ from buoyancy.sources import PlantConfig, PlantWorkload
 
 from . import openmetrics
 from .conftest import TABLE_TOPO, make_sample, two_workload_replay
+from .oracles import fit_power_law, llc_score
 from .test_service import _agent_config_dict, _reference_reports, _report_metric_values
 
 
@@ -136,6 +137,35 @@ def test_criterion_1_headroom_table_reproduction():
 
 # --------------------------------------------------------------- criterion 2
 
+#: References per window in criterion 2's samples; the miss counters are
+#: this times the planted ratios, rounded to integers.
+MEM_REFS = 10**15
+
+
+def _counter_rounding_bound(x_points, counts, b):
+    """Relative error that integer miss counters allow ``score_workload``'s LLC score.
+
+    Counter c_i = round(N * m_i) reads back as m_i * (1 + e_i) with
+    |e_i| <= 1 / (2 c_i - 1) <= e, the largest of these bounds, so each
+    ln m_i moves by some delta_i with |delta_i| <= d = e / (1 - e). Over the
+    centred log sizes dx_i (Sxx = sum dx_i**2) the fitted slope b' moves by
+    sum(dx_i * delta_i) / Sxx, at most d * g with g = sum |dx_i| / Sxx. The
+    score is -a' b' s**(b' - 1) * way / m_3' = -b' * (way / s) * exp(E), where
+    E is the fitted minus the measured ln m at s:
+    mean(delta) + (b' - b) dx_3 - delta_3, so |E| <= d * (2 + g |dx_3|).
+    Against the closed form -b * way / s the ratio is (b' / b) * exp(E), off
+    1 by at most (1 + d g / |b|) * exp(d * (2 + g |dx_3|)) - 1, and
+    ``min(., 1)`` only narrows the gap.
+    """
+    e = max(1.0 / (2 * c - 1) for c in counts)
+    d = e / (1.0 - e)
+    log_x = [math.log(x) for x in x_points]
+    mean_x = math.fsum(log_x) / len(log_x)
+    dx = [lx - mean_x for lx in log_x]
+    g = math.fsum(abs(v) for v in dx) / math.fsum(v * v for v in dx)
+    return (1.0 + d * g / abs(b)) * math.exp(d * (2.0 + g * abs(dx[-1]))) - 1.0
+
+
 def test_criterion_2_mrc_fit_oracle():
     start = time.monotonic()
     failures = []
@@ -157,6 +187,28 @@ def test_criterion_2_mrc_fit_oracle():
         if abs(numeric - closed_form) > 1e-9:
             failures.append(
                 f"trial {trial}: numeric {numeric!r} vs closed form {closed_form!r}"
+            )
+            break
+        # The same law through what the agent runs, with the L3 point at the allocation.
+        x_points = (TABLE_TOPO.l1_size_kib, TABLE_TOPO.l2_size_kib, s_llc)
+        ratios = tuple(a * x**b for x in x_points)
+        fit = fit_mrc(TABLE_TOPO, ratios, s_llc)
+        err_a = abs(fit.coeff_a - a) / a
+        err_b = abs(fit.exponent_b - b) / abs(b)
+        if err_a > 1e-9 or err_b > 1e-9:
+            failures.append(f"trial {trial}: fit_mrc error a={err_a:.2e} b={err_b:.2e}")
+            break
+        counts = [round(MEM_REFS * m) for m in ratios]
+        sample = make_sample(
+            mem_refs=MEM_REFS, l1_miss=counts[0], l2_miss=counts[1], l3_miss=counts[2], llc_alloc_kib=s_llc
+        )
+        scored = score_workload(sample, TABLE_TOPO).llc
+        raw = -b * way / s_llc
+        # Counter rounding, plus the criterion's 1e-9 for the float arithmetic.
+        bound = (_counter_rounding_bound(x_points, counts, b) + 1e-9) * raw
+        if abs(scored - closed_form) > bound:
+            failures.append(
+                f"trial {trial}: score_workload {scored!r} vs closed form {closed_form!r} (bound {bound:.2e})"
             )
             break
     _conclude(2, "MRC fit recovers random exact power laws", failures, time.monotonic() - start, 5.0)
@@ -201,7 +253,7 @@ def test_criterion_3_score_range_fuzz():
             llc_alloc_kib=rng.choice([None, rng.uniform(1.0, topo.l3_size_kib)]),
         )
         scores = score_workload(sample, topo)
-        values = scores.values()
+        values = astuple(scores)
         if not all(0.0 <= v <= 1.0 for v in values):
             failures.append(f"trial {trial}: scores out of range: {values}")
             break
@@ -209,7 +261,7 @@ def test_criterion_3_score_range_fuzz():
         kpi = rng.uniform(0.0, 150.0) if rng.random() < 0.7 else None
         p = perf_score(kpi, slo)
         alpha = rng.random()
-        b = buoyancy(p, scores, alpha)
+        b = buoyancy(p, values, alpha)
         if b > 1.0 or (p >= 0 and b > p):
             failures.append(f"trial {trial}: b={b!r} breaks bounds for p={p!r}")
             break

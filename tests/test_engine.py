@@ -1,5 +1,6 @@
 import copy
 import math
+from dataclasses import astuple
 from unittest import mock
 
 import pytest
@@ -85,12 +86,6 @@ def test_buoyancy_saturated_scores_is_zero_exactly():
 def test_buoyancy_empty_scores():
     with pytest.raises(EmptyScoreSet):
         buoyancy(0.5, [], alpha=0.7)
-
-
-def test_buoyancy_accepts_resource_scores():
-    scores = ResourceScores(cpu=0.8, llc=0.2, mbw=0.2)
-    manual = buoyancy(0.5, [0.8, 0.2, 0.2], alpha=0.7)
-    assert buoyancy(0.5, scores, alpha=0.7) == manual
 
 
 @given(
@@ -248,7 +243,7 @@ def test_step_composes_scores_and_buoyancy(topo):
     report = engine.step([sample])
     wr = report.workload_reports[0]
     assert wr.perf_score == 0.5
-    expected_b = buoyancy(0.5, wr.resource_scores, 0.7)
+    expected_b = buoyancy(0.5, astuple(wr.resource_scores), 0.7)
     assert wr.buoyancy == expected_b
     assert wr.approaching_violation == (wr.buoyancy <= 0.1)
     assert report.node_buoyancy == wr.buoyancy
@@ -290,7 +285,7 @@ def test_step_buoyancy_matches_buoyancy_function(windows, alpha, ema_factor):
                 drawn[f"w{i}"] = scores
                 batch.append(make_sample(workload_id=f"w{i}", window_index=index, kpi_value=kpi))
             for wr in engine.step(batch).workload_reports:
-                assert wr.buoyancy.hex() == buoyancy(wr.perf_score, wr.resource_scores, alpha).hex()
+                assert wr.buoyancy.hex() == buoyancy(wr.perf_score, astuple(wr.resource_scores), alpha).hex()
 
 
 def test_step_empty_batch_empty_state(topo):

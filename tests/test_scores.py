@@ -1,24 +1,23 @@
 import math
+from dataclasses import astuple
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from buoyancy import (
-    MrcFit,
+from buoyancy import MrcFit, ResourceScores, fit_mrc, score_workload
+
+from .conftest import TABLE_TOPO, make_sample
+from .oracles import (
     NoMemoryTraffic,
-    ResourceScores,
     cpu_score,
-    fit_mrc,
     fit_power_law,
     llc_score,
     mbw_score,
     miss_ratios,
-    score_workload,
+    mrc_value,
+    ols_loglog,
 )
-
-from .conftest import TABLE_TOPO, make_sample
-from .oracles import ols_loglog
 
 TABLE_SIZES = (80.0, 1280.0, 12288.0)
 
@@ -156,9 +155,9 @@ def test_fit_recovery_property(a, b):
     assert fit.exponent_b == pytest.approx(b, rel=1e-9)
 
 
-# fit_mrc and score_workload repeat the arithmetic of fit_power_law and
-# llc_score step for step, caching only the x side, so the reference
-# results must come back equal, not merely close.
+# fit_mrc and score_workload run the arithmetic of the plain references
+# in tests/oracles.py step for step, caching only the x side, so the
+# reference results must come back equal, not merely close.
 
 @settings(max_examples=300)
 @given(
@@ -233,14 +232,14 @@ def test_score_workload_matches_reference(
 
 def test_llc_score_analytic_derivative(topo):
     fit = MrcFit(coeff_a=1.0, exponent_b=-0.5)
-    m = fit(12288.0)
+    m = mrc_value(fit, 12288.0)
     assert llc_score(fit, topo, 12288.0, m) == pytest.approx(0.5 * 1024 / 12288, rel=1e-12)
 
 
 def test_llc_score_clamps_steep_curves(topo):
     fit = MrcFit(coeff_a=2.0, exponent_b=-1.5)
     s = 1024.0
-    assert llc_score(fit, topo, s, fit(s)) == 1.0
+    assert llc_score(fit, topo, s, mrc_value(fit, s)) == 1.0
 
 
 def test_llc_score_degenerate_fit(topo):
@@ -258,7 +257,7 @@ def test_llc_score_matches_closed_form(b, s):
     # for exact power-law inputs the score collapses to -b * way / s
     fit = MrcFit(coeff_a=0.7, exponent_b=b)
     expected = min(-b * 1024.0 / s, 1.0)
-    assert llc_score(fit, TABLE_TOPO, s, fit(s)) == pytest.approx(expected, rel=1e-9)
+    assert llc_score(fit, TABLE_TOPO, s, mrc_value(fit, s)) == pytest.approx(expected, rel=1e-9)
 
 
 @given(
@@ -374,5 +373,5 @@ def test_scores_always_in_unit_range(window, cores, user_frac, refs, data):
         llc_alloc_kib=data.draw(st.one_of(st.none(), st.floats(64, 12288))),
     )
     scores = score_workload(sample, TABLE_TOPO)
-    for value in scores.values():
+    for value in astuple(scores):
         assert 0.0 <= value <= 1.0

@@ -20,13 +20,12 @@ from buoyancy import (
     SloSpec,
     demo_plant_config,
     fit_mrc,
-    miss_ratios,
 )
 from buoyancy import sources
 from buoyancy.sources import _SCHEMA, parse_telemetry_record
 
 from .conftest import no_unclosed_file, record_dict, two_workload_replay, write_jsonl
-from .oracles import parse_record_reference, plant_step_reference
+from .oracles import miss_ratios, parse_record_reference, plant_step_reference
 
 
 # -------------------------------------------------------------------- replay
@@ -629,7 +628,7 @@ def test_plant_timestamps_advance():
 
 def test_demo_plant_config_is_valid():
     cfg = demo_plant_config()
-    assert cfg.workload("webapp").working_set_kib < cfg.topology.l1_size_kib
+    assert next(w for w in cfg.workloads if w.id == "webapp").working_set_kib < cfg.topology.l1_size_kib
     plant = ContentionPlant(cfg)
     batch, _ = plant.step({"webapp": Allocation(cores=4.0, llc_kib=2048.0, load_rps=40.0)})
     assert batch[0].workload_id == "webapp"
