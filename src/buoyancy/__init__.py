@@ -40,7 +40,6 @@ from .model import (
     TelemetrySample,
     llc_way_size,
     theoretical_max_mbw,
-    validate_topology,
 )
 from .scores import (
     MrcFit,
@@ -98,5 +97,4 @@ __all__ = [
     "perf_score",
     "score_workload",
     "theoretical_max_mbw",
-    "validate_topology",
 ]

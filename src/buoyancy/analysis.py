@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Sequence
 
 from .config import AgentConfig, build, read_json
-from .engine import DEFAULT_ALPHA, buoyancy, log_change
+from .engine import DEFAULT_ALPHA, EngineConfig, buoyancy, log_change
 from .errors import ConfigError, InsufficientData, SchemaError
 from .model import DEFAULT_VIOLATION_THRESHOLD
 from .sources import ReplaySource
@@ -220,6 +220,7 @@ def surface_points(alpha: float = DEFAULT_ALPHA, step: float = 0.05) -> list[Sur
 
     ``below_threshold`` compares with the engine's default violation threshold.
     """
+    EngineConfig(alpha=alpha)  # the engine's own rule rejects a bad alpha
     if not 0.0 < step <= 0.5:
         raise ValueError(f"step must be in (0, 0.5], got {step}")
     n = math.floor(1.0 / step + 1e-9) + 1

@@ -14,6 +14,7 @@ import argparse
 import json
 import logging
 import signal
+import statistics
 import sys
 import threading
 import time
@@ -94,7 +95,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_surface(args) -> int:
-    points = analysis.surface_points(alpha=args.alpha, step=args.step)
+    try:
+        points = analysis.surface_points(alpha=args.alpha, step=args.step)
+    except ValueError as exc:
+        raise ConfigError(f"surface: {exc}") from None
     _write_out(analysis.format_csv(analysis.SurfacePoint, points), args.out)
     return 0
 
@@ -105,13 +109,13 @@ def cmd_controller_sim(args) -> int:
         read_json(args.ctrl, "controller config")
     )
     schedule = controller.InterferenceSchedule.from_file(args.schedule)
-    if experiment.workload_id not in {w.id for w in plant_config.workloads}:
-        raise ConfigError(
-            f"controller.experiment.workload_id: {experiment.workload_id!r} is not in {args.plant!r}"
-        )
     widest = Allocation(cores=ctrl_config.max_cores, llc_kib=experiment.llc_alloc_kib)
     try:
-        plant_config.check_capacity({experiment.workload_id: widest})
+        plant_config.check_allocations({experiment.workload_id: widest})
+    except ValueError:
+        raise ConfigError(
+            f"controller.experiment.workload_id: {experiment.workload_id!r} is not in {args.plant!r}"
+        ) from None
     except CapacityExceeded as exc:
         raise ConfigError(
             f"controller: actuation_bounds.max_cores with experiment.llc_alloc_kib "
@@ -119,12 +123,12 @@ def cmd_controller_sim(args) -> int:
         ) from None
     records = controller.run_experiment(plant_config, ctrl_config, schedule, experiment)
     _write_out(analysis.format_csv(controller.ControlRecord, records), args.out)
-    summary = controller.summarize_runs(records)
-    tail = summary[-1]
+    last = [r for r in records if r.window == records[-1].window]
     sys.stderr.write(
         f"{len(records)} records over {experiment.repetitions} runs; final window "
-        f"median cores {tail.cores_median:.2f}, median p95 {tail.p95_median:.2f} ms, "
-        f"median buoyancy {tail.buoyancy_median:.3f}\n"
+        f"median cores {statistics.median(r.cores for r in last):.2f}, "
+        f"median p95 {statistics.median(r.p95_ms for r in last):.2f} ms, "
+        f"median buoyancy {statistics.median(r.buoyancy for r in last):.3f}\n"
     )
     return 0
 

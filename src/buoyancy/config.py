@@ -17,7 +17,7 @@ from typing import Any, Optional, Union, get_args, get_origin
 
 from .engine import Engine, EngineConfig
 from .errors import BuoyancyError, ConfigError
-from .model import CacheTopology, SloSpec, validate_topology
+from .model import CacheTopology, SloSpec
 from .sources import Allocation, PlantConfig
 
 _MISSING = dataclasses.MISSING
@@ -129,9 +129,7 @@ class AgentConfig:
     interference: float = config_field("source", "interference", default=0.0)
 
     def __post_init__(self):
-        validate_topology(self.topology)
-        if self.node_cores <= 0:
-            raise ValueError(f"node_cores must be > 0, got {self.node_cores}")
+        self.new_engine()  # the engine's own rules reject a bad node_cores at load
         if self.window_s <= 0:
             raise ValueError(f"window_s must be > 0, got {self.window_s}")
         if self.source_type == "replay":
@@ -140,10 +138,9 @@ class AgentConfig:
         elif self.source_type == "plant":
             if self.plant is None or not self.allocations:
                 raise ValueError("a plant source needs source.plant and a non-empty source.allocations")
-            unknown = set(self.allocations) - {w.id for w in self.plant.workloads}
-            if unknown:
-                raise ValueError(f"allocations name workloads the plant lacks: {sorted(unknown)}")
-            self.plant.check_capacity(self.allocations)
+            if self.topology != self.plant.topology:  # else the engine scores the counters on another cache
+                raise ValueError("a plant source needs topology equal to source.plant.topology")
+            self.plant.check_allocations(self.allocations)
             if not 0.0 <= self.interference <= 1.0:
                 raise ValueError(f"source.interference must be in [0, 1], got {self.interference}")
         else:

@@ -15,9 +15,8 @@ integrator cannot slingshot across the latency knee.
 """
 
 import math
-import statistics
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 from .config import _lookup, build, config_field, read_json
 from .engine import DEFAULT_ALPHA, Engine, EngineConfig
@@ -100,7 +99,6 @@ class ExperimentConfig:
     windows: int = 260
     repetitions: int = 10
     slo: Optional[SloSpec] = None
-    node_cores: Optional[float] = None  # default: plant total_cores
     alpha: float = DEFAULT_ALPHA
 
     def __post_init__(self):
@@ -108,8 +106,6 @@ class ExperimentConfig:
             raise ValueError(f"windows must be >= 1, got {self.windows}")
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
-        if self.node_cores is not None and not self.node_cores > 0:
-            raise ValueError(f"node_cores must be > 0 when set, got {self.node_cores}")
         # These reach the plant as an Allocation and the engine as an EngineConfig:
         # build one of each so that their own rules reject bad values at load.
         Allocation(cores=self.initial_cores, llc_kib=self.llc_alloc_kib, load_rps=self.load_rps)
@@ -194,7 +190,6 @@ def run_experiment(
 ) -> list[ControlRecord]:
     """Closed-loop runs over seeded repetitions; returns every window record."""
     wid = experiment.workload_id
-    node_cores = plant_config.total_cores if experiment.node_cores is None else experiment.node_cores
     llc_kib, load_rps = experiment.llc_alloc_kib, experiment.load_rps
     setpoint, mode = ctrl.setpoint, ctrl.mode
     by_buoyancy = mode == MODE_BUOYANCY
@@ -204,7 +199,7 @@ def run_experiment(
         plant = ContentionPlant(replace(plant_config, seed=seed))
         engine = Engine(
             topology=plant_config.topology,
-            node_cores=node_cores,
+            node_cores=plant_config.total_cores,
             slos={wid: experiment.slo} if experiment.slo else {},
             config=EngineConfig(alpha=experiment.alpha),
         )
@@ -218,46 +213,6 @@ def run_experiment(
             seeker.observe(b if by_buoyancy else measured_p95)
             records.append(ControlRecord(t, seed, cores, measured_p95, b, setpoint, mode))
     return records
-
-
-@dataclass(frozen=True, slots=True)
-class WindowSummary:
-    window: int
-    cores_median: float
-    cores_p10: float
-    cores_p90: float
-    p95_median: float
-    buoyancy_median: float
-
-
-def summarize_runs(records: Sequence[ControlRecord]) -> list[WindowSummary]:
-    """Median and p10/p90 bands per window across seeded repetitions."""
-    by_window: dict[int, list[ControlRecord]] = {}
-    for r in records:
-        by_window.setdefault(r.window, []).append(r)
-
-    def p10_p90(values: list[float]) -> tuple[float, float]:
-        if len(values) < 3:
-            return (min(values), max(values))
-        deciles = statistics.quantiles(values, n=10)
-        return (deciles[0], deciles[8])
-
-    out = []
-    for window in sorted(by_window):
-        rs = by_window[window]
-        cores = [r.cores for r in rs]
-        lo, hi = p10_p90(cores)
-        out.append(
-            WindowSummary(
-                window=window,
-                cores_median=statistics.median(cores),
-                cores_p10=lo,
-                cores_p90=hi,
-                p95_median=statistics.median(r.p95_ms for r in rs),
-                buoyancy_median=statistics.median(r.buoyancy for r in rs),
-            )
-        )
-    return out
 
 
 def controller_config_from_dict(obj: dict) -> tuple[ControllerConfig, ExperimentConfig]:

@@ -73,19 +73,17 @@ class CacheTopology:
     mem_bus_width_bytes: float
     mem_channels: int
 
-
-def validate_topology(t: CacheTopology) -> CacheTopology:
-    """Return ``t`` unchanged iff all geometry invariants hold."""
-    for f in fields(t):
-        value = getattr(t, f.name)
-        if not value > 0:
-            raise NonPositiveGeometry(f"{f.name} must be > 0, got {value}")
-    if not (t.l1_size_kib < t.l2_size_kib < t.l3_size_kib):
-        raise NonIncreasingCacheSizes(
-            f"cache sizes must be strictly increasing, got "
-            f"{t.l1_size_kib} / {t.l2_size_kib} / {t.l3_size_kib} KiB"
-        )
-    return t
+    def __post_init__(self):
+        # The only home of the geometry rules.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not value > 0:
+                raise NonPositiveGeometry(f"{f.name} must be > 0, got {value}")
+        if not (self.l1_size_kib < self.l2_size_kib < self.l3_size_kib):
+            raise NonIncreasingCacheSizes(
+                f"cache sizes must be strictly increasing, got "
+                f"{self.l1_size_kib} / {self.l2_size_kib} / {self.l3_size_kib} KiB"
+            )
 
 
 def theoretical_max_mbw(t: CacheTopology) -> float:

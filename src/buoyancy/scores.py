@@ -115,9 +115,9 @@ def score_workload(
     m_llc = sample.l3_miss / n
     s_alloc = sample.llc_alloc_kib
     fit = fit_mrc(topology, (sample.l1_miss / n, sample.l2_miss / n, m_llc), s_alloc)
-    s_llc = s_alloc if s_alloc is not None else topology.l3_size_kib
-    if fit.degenerate or m_llc <= 0 or s_llc <= 0:
+    if fit.degenerate:
         return ResourceScores(cpu, 0.0, mbw)
+    s_llc = s_alloc if s_alloc is not None else topology.l3_size_kib
     b = fit.exponent_b
     slope = fit.coeff_a * b * s_llc ** (b - 1.0)
     return ResourceScores(cpu, min(-slope * llc_way_size(topology) / m_llc, 1.0), mbw)

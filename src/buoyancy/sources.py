@@ -31,7 +31,7 @@ from datetime import datetime, timedelta, timezone
 from typing import IO, Iterator, Mapping, Optional
 
 from .errors import CapacityExceeded, ParseError, SchemaError
-from .model import CacheTopology, TelemetrySample, validate_topology, value_type
+from .model import CacheTopology, TelemetrySample, value_type
 
 log = logging.getLogger(__name__)
 
@@ -272,7 +272,6 @@ class PlantConfig:
     noise_sigma: float = 0.01
 
     def __post_init__(self):
-        validate_topology(self.topology)
         if self.total_cores <= 0:
             raise ValueError("total_cores must be > 0")
         if self.window_s <= 0:
@@ -283,8 +282,11 @@ class PlantConfig:
         if len(set(ids)) != len(ids):
             raise ValueError("workload ids must be unique")
 
-    def check_capacity(self, allocations: Mapping[str, Allocation]) -> None:
-        """Raise CapacityExceeded unless the allocations fit the node's cores and LLC."""
+    def check_allocations(self, allocations: Mapping[str, Allocation]) -> None:
+        """Raise ValueError for an id the plant lacks, then CapacityExceeded past the node's cores or LLC."""
+        unknown = allocations.keys() - {w.id for w in self.workloads}
+        if unknown:
+            raise ValueError(f"allocations name workloads the plant lacks: {sorted(unknown)}")
         cores = math.fsum(a.cores for a in allocations.values())
         if cores > self.total_cores + 1e-9:
             raise CapacityExceeded(f"allocated {cores} cores on a {self.total_cores}-core node")
@@ -315,7 +317,7 @@ class ContentionPlant:
     ) -> tuple[list[TelemetrySample], dict[str, float]]:
         """Advance one window; returns (samples, true p95 latencies by id)."""
         cfg = self.config
-        cfg.check_capacity(allocations)
+        cfg.check_allocations(allocations)
         interference = self.interference
         if not 0.0 <= interference <= 1.0:
             raise ValueError("interference must be in [0, 1]")

@@ -342,7 +342,7 @@ def plant_step_reference(plant, allocations):
     """
     cfg = plant.config
     topo = cfg.topology
-    cfg.check_capacity(allocations)
+    cfg.check_allocations(allocations)
     if not 0.0 <= plant.interference <= 1.0:
         raise ValueError("interference must be in [0, 1]")
 

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import signal
+import statistics
 import subprocess
 import sys
 import time
@@ -30,6 +31,18 @@ def test_surface_cli_writes_file(tmp_path, capsys):
     out = tmp_path / "surface.csv"
     assert main(["surface", "--step", "0.5", "--out", str(out)]) == 0
     assert out.read_text().startswith("case,p,r,b")
+
+
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [("--step", "0.7", "step must be in (0, 0.5], got 0.7"), ("--alpha", "-3", "alpha must be in [0, 1], got -3.0")],
+    ids=["step", "alpha"],
+)
+def test_surface_range_error_exits_1(capsys, flag, value, message):
+    assert main(["surface", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: surface: {message}\n"
+    assert captured.out == ""
 
 
 def test_analyze_cli_medians_table(capsys):
@@ -125,7 +138,13 @@ def test_controller_sim_cli(tmp_path, capsys):
     rows = list(csv.reader(io.StringIO(out_path.read_text())))
     assert rows[0] == ["window", "seed", "cores", "p95_ms", "buoyancy", "setpoint", "mode"]
     assert len(rows) == 1 + 24 * 2
-    assert "median cores" in capsys.readouterr().err
+    last = [row for row in rows[1:] if row[0] == "23"]
+    assert len(last) == 2
+    cores, p95, b = (statistics.median(float(row[i]) for row in last) for i in (2, 3, 4))
+    assert capsys.readouterr().err == (
+        f"48 records over 2 runs; final window median cores {cores:.2f}, "
+        f"median p95 {p95:.2f} ms, median buoyancy {b:.3f}\n"
+    )
 
 
 def _serve_then_signal(tmp_path, signum):

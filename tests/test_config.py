@@ -46,7 +46,7 @@ _TWIN = {"id": "svc", "service_rate_per_core": 1, "base_latency_ms": 0, "latency
 
 # (case id, file, path to the bad value, bad value, location named by the error)
 BAD_CONFIGS = [
-    ("agent-l3-ways-zero", "agent_replay.json", ("topology", "l3_ways"), 0, "config"),
+    ("agent-l3-ways-zero", "agent_replay.json", ("topology", "l3_ways"), 0, "config.topology"),
     ("agent-slo-zero", "agent_replay.json", ("slo", "webapp", "slo_value"), 0, "config.slo.webapp"),
     ("agent-slo-string", "agent_replay.json", ("slo", "webapp", "slo_value"), "16",
      "config.slo.webapp.slo_value"),
@@ -72,7 +72,8 @@ BAD_CONFIGS = [
     ("agent-replay-path-null", "agent_replay.json", ("source", "path"), None, "config"),
     ("agent-allocations-null", "agent_plant.json", ("source", "allocations"), None, "config"),
     ("agent-allocations-empty", "agent_plant.json", ("source", "allocations"), {}, "config"),
-    ("plant-l3-ways-zero", "controller_plant.json", ("topology", "l3_ways"), 0, "plant"),
+    ("agent-topology-not-the-plants", "agent_plant.json", ("topology", "l3_size_kib"), 2048, "config"),
+    ("plant-l3-ways-zero", "controller_plant.json", ("topology", "l3_ways"), 0, "plant.topology"),
     ("plant-workload-id-empty", "controller_plant.json", ("workloads", 0, "id"), "",
      "plant.workloads[0]"),
     ("plant-workload-latency-gain-zero", "controller_plant.json", ("workloads", 0, "latency_gain"), 0,
@@ -94,10 +95,6 @@ BAD_CONFIGS = [
     ("experiment-llc-zero", "controller_buoyancy.json", ("experiment", "llc_alloc_kib"), 0,
      "controller.experiment"),
     ("experiment-load-negative", "controller_buoyancy.json", ("experiment", "load_rps"), -1,
-     "controller.experiment"),
-    ("experiment-node-cores-negative", "controller_buoyancy.json", ("experiment", "node_cores"), -2,
-     "controller.experiment"),
-    ("experiment-node-cores-zero", "controller_buoyancy.json", ("experiment", "node_cores"), 0,
      "controller.experiment"),
     ("experiment-alpha-two", "controller_buoyancy.json", ("experiment", "alpha"), 2,
      "controller.experiment"),

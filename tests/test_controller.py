@@ -17,7 +17,6 @@ from buoyancy.controller import (
     InterferenceSchedule,
     controller_config_from_dict,
     run_experiment,
-    summarize_runs,
 )
 from buoyancy.errors import ConfigError
 
@@ -247,16 +246,6 @@ def test_records_cover_all_windows_and_seeds():
     assert all(r.mode == "buoyancy" and r.setpoint == 0.2 for r in records)
 
 
-def test_summarize_runs_bands():
-    records = [
-        ControlRecord(window=0, seed=s, cores=float(s), p95_ms=10.0, buoyancy=0.2, setpoint=0.2, mode="buoyancy")
-        for s in range(10)
-    ]
-    summary = summarize_runs(records)[0]
-    assert summary.cores_median == 4.5
-    assert summary.cores_p10 < summary.cores_median < summary.cores_p90
-
-
 def test_records_csv_header():
     ctrl = ControllerConfig(mode="latency", setpoint=10.0)
     records = run_experiment(
@@ -286,14 +275,13 @@ def test_seeker_matches_per_window_sine_reference(mode, setpoint, period):
 def _run_experiment_reference(plant_config, ctrl, schedule, experiment):
     """``run_experiment`` as it was written before the window loop was hoisted, on the reference pieces."""
     wid = experiment.workload_id
-    node_cores = plant_config.total_cores if experiment.node_cores is None else experiment.node_cores
     records = []
     for rep in range(experiment.repetitions):
         seed = plant_config.seed + rep
         plant = ContentionPlant(dataclasses.replace(plant_config, seed=seed))
         engine = Engine(
             topology=plant_config.topology,
-            node_cores=node_cores,
+            node_cores=plant_config.total_cores,
             slos={wid: experiment.slo} if experiment.slo else {},
             config=EngineConfig(alpha=experiment.alpha),
         )
@@ -330,5 +318,11 @@ def test_bundled_experiment_matches_reference_loop(mode, setpoint, repetitions):
 
 def test_unknown_workload_rejected_early():
     ctrl = ControllerConfig(mode="latency", setpoint=10.0)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="'ghost'"):
         run_experiment(_plant(), ctrl, FLAT_SCHEDULE, _experiment(workload_id="ghost"))
+    plant = ContentionPlant(_plant())
+    with pytest.raises(ValueError, match="'ghost'"):
+        plant.step({"ghost": Allocation(1.0)})
+    after_rejection, _ = plant.step({"svc": Allocation(1.0)})
+    fresh, _ = ContentionPlant(_plant()).step({"svc": Allocation(1.0)})
+    assert after_rejection[0].window_start == fresh[0].window_start

@@ -21,7 +21,6 @@ from buoyancy import (
     TelemetrySample,
     llc_way_size,
     theoretical_max_mbw,
-    validate_topology,
 )
 from buoyancy.controller import ControlRecord
 from buoyancy.model import value_type
@@ -29,34 +28,23 @@ from buoyancy.model import value_type
 from .conftest import EPOCH, make_sample
 
 
-def test_validate_reference_topology(topo):
-    assert validate_topology(topo) is topo
-
-
-def test_validate_is_idempotent(topo):
-    assert validate_topology(validate_topology(topo)) is topo
-
-
 def test_swapped_l1_l2_rejected(topo):
-    bad = CacheTopology(1280, 80, 12288, 12, 2666, 8, 4)
     with pytest.raises(NonIncreasingCacheSizes):
-        validate_topology(bad)
+        CacheTopology(1280, 80, 12288, 12, 2666, 8, 4)
 
 
 def test_equal_sizes_rejected():
-    bad = CacheTopology(80, 80, 12288, 12, 2666, 8, 4)
     with pytest.raises(NonIncreasingCacheSizes):
-        validate_topology(bad)
+        CacheTopology(80, 80, 12288, 12, 2666, 8, 4)
 
 
 @pytest.mark.parametrize(
     "field",
-    ["l1_size_kib", "l3_ways", "mem_speed_mts", "mem_bus_width_bytes", "mem_channels"],
+    ["l1_size_kib", "l2_size_kib", "l3_size_kib", "l3_ways", "mem_speed_mts", "mem_bus_width_bytes", "mem_channels"],
 )
 def test_zero_geometry_rejected(topo, field):
-    bad = CacheTopology(**{**_as_kwargs(topo), field: 0})
     with pytest.raises(NonPositiveGeometry):
-        validate_topology(bad)
+        CacheTopology(**{**_as_kwargs(topo), field: 0})
 
 
 def _as_kwargs(t):
@@ -116,9 +104,7 @@ def test_peak_bandwidth_is_multiplicative(speed, width, channels, double):
     ways=st.integers(1, 32),
 )
 def test_valid_topology_gives_positive_derived_values(l1, l2_factor, l3_factor, ways):
-    t = validate_topology(
-        CacheTopology(l1, l1 * l2_factor, l1 * l2_factor * l3_factor, ways, 2666, 8, 4)
-    )
+    t = CacheTopology(l1, l1 * l2_factor, l1 * l2_factor * l3_factor, ways, 2666, 8, 4)
     assert theoretical_max_mbw(t) > 0
     assert llc_way_size(t) > 0
 

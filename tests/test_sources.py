@@ -542,6 +542,13 @@ def test_plant_llc_capacity():
         plant.step({"svc": Allocation(cores=1.0, llc_kib=20_000.0, load_rps=10.0)})
 
 
+def test_plant_unknown_workload_named_before_capacity():
+    # Over both the node's cores and its LLC, and naming a workload the plant lacks.
+    allocations = {"svc": Allocation(cores=1.0), "ghost": Allocation(cores=9.0, llc_kib=20_000.0)}
+    with pytest.raises(ValueError, match=r"^allocations name workloads the plant lacks: \['ghost'\]$"):
+        _single_plant().check_allocations(allocations)
+
+
 def test_plant_rejected_step_keeps_the_clock():
     allocation = {"svc": Allocation(cores=4.0, load_rps=10.0)}
     plant = ContentionPlant(_single_plant(), interference=1.5)
