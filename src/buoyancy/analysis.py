@@ -62,17 +62,20 @@ def analyze_medians(medians: Sequence[WorkloadMedians]) -> HeadroomReport:
         raise InsufficientData("no workloads to analyze")
     rows = []
     for m in medians:
+        # log_change owns the positivity rule, so it runs before the divisions.
+        latency_log_change = log_change(m.p95_low_ms, m.p95_high_ms)
+        buoyancy_log_change = log_change(m.buoyancy_low, m.buoyancy_high)
         rows.append(
             HeadroomRow(
                 workload_id=m.workload_id,
                 p95_low_ms=m.p95_low_ms,
                 p95_high_ms=m.p95_high_ms,
                 latency_pct_change=m.p95_high_ms / m.p95_low_ms - 1.0,
-                latency_log_change=log_change(m.p95_low_ms, m.p95_high_ms),
+                latency_log_change=latency_log_change,
                 buoyancy_low=m.buoyancy_low,
                 buoyancy_high=m.buoyancy_high,
                 buoyancy_pct_change=m.buoyancy_high / m.buoyancy_low - 1.0,
-                buoyancy_log_change=log_change(m.buoyancy_low, m.buoyancy_high),
+                buoyancy_log_change=buoyancy_log_change,
             )
         )
     mean_lat = math.fsum(r.latency_log_change for r in rows) / len(rows)

@@ -36,10 +36,13 @@ def _parse_listen(value: str) -> tuple[str, int]:
     return (host or "127.0.0.1", int(port))
 
 
-def _write_out(text: str, out_path):
+def _write_out(text: str, out_path, mode: str = "w"):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, mode, encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out_path!r}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -121,6 +124,7 @@ def cmd_controller_sim(args) -> int:
             f"controller: actuation_bounds.max_cores with experiment.llc_alloc_kib "
             f"does not fit {args.plant!r}: {exc}"
         ) from None
+    _write_out("", args.out, mode="a")  # an unwritable --out fails before the run and truncates nothing
     records = controller.run_experiment(plant_config, ctrl_config, schedule, experiment)
     _write_out(analysis.format_csv(controller.ControlRecord, records), args.out)
     last = [r for r in records if r.window == records[-1].window]

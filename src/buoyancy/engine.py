@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from typing import Mapping, Optional, Sequence
 
-from .errors import EmptyNode, EmptyScoreSet, NonPositiveInput
+from .errors import EmptyNode, EmptyScoreSet, NonPositiveInput, SchemaError
 from .model import (
     DEFAULT_VIOLATION_THRESHOLD,
     BuoyancyReport,
@@ -197,9 +197,9 @@ class Engine:
         for sample in batch:
             wid = sample.workload_id
             if wid in seen:
-                raise ValueError(f"duplicate sample for workload {wid!r}")
+                raise SchemaError("workload_id", f"duplicate sample for workload {wid!r}")
             if sample.window_start != start or sample.window_end != end:
-                raise ValueError(f"batch spans more than one window at {wid!r}")
+                raise SchemaError("window_start", f"batch spans more than one window at {wid!r}")
             seen.add(wid)
 
         cfg = self.config

@@ -23,7 +23,7 @@ from typing import Optional
 # existed import AgentConfig and plant_config_from_dict from here.
 from .config import AgentConfig, plant_config_from_dict  # noqa: F401
 from .engine import NodeReport
-from .errors import BindError, EmptyNode
+from .errors import BindError
 from .exposition import CONTENT_TYPE, render_openmetrics
 from .model import BuoyancyReport, ResourceScores
 from .sources import ContentionPlant, PlantSource, ReplaySource
@@ -129,14 +129,11 @@ class MetricsAgent:
         return self._snapshot
 
     def step_once(self) -> bool:
-        """Pull one batch and refresh the snapshot. False at end of stream."""
+        """Pull one batch and refresh the snapshot. False at end of stream; a rejected batch raises."""
         batch = self._source.next_batch()
         if batch is None:
             return False
-        try:
-            self._snapshot = Snapshot(self.engine.step(batch))
-        except EmptyNode:
-            log.debug("empty window, keeping previous snapshot")
+        self._snapshot = Snapshot(self.engine.step(batch))
         return True
 
     def _run(self):

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field as dc_field, fields
 from datetime import datetime, timedelta, timezone
 from typing import IO, Iterator, Mapping, Optional
 
-from .errors import CapacityExceeded, ParseError, SchemaError
+from .errors import CapacityExceeded, ConfigError, ParseError, SchemaError
 from .model import CacheTopology, TelemetrySample, value_type
 
 log = logging.getLogger(__name__)
@@ -68,9 +68,9 @@ _SCHEMA = {
 
 #: ``parse_telemetry_record`` is compiled from these templates, one block per
 #: ``_SCHEMA`` field in schema order. A ``type()`` test against exact types
-#: keeps a bool from passing as an int. ``json`` decodes ``NaN``, ``Infinity``
-#: and integers too large for a float, which are not finite JSON numbers, so
-#: they are rejected here; the value rules live on ``TelemetrySample``.
+#: keeps a bool from passing as an int. The parser checks JSON shape only:
+#: every number rule, finiteness included, is ``TelemetrySample``'s, which
+#: rejects the ``NaN``, ``Infinity`` and too-large integers that ``json`` decodes.
 _HEAD = """def parse_telemetry_record(obj, strict=True):
     \"""Build a TelemetrySample from one decoded JSONL object, checking its JSON shape.\"""
     if not isinstance(obj, dict):
@@ -86,16 +86,8 @@ _FIELD = """
         {key} = obj["{key}"]
     except KeyError:
         raise SchemaError("{key}", "missing") from None
-    if {exact}:{finite}
-    {otherwise}:
+    if not ({exact}){nullable}:
         raise SchemaError("{key}", {null}f"expected {types}, got {{type({key}).__name__}}")"""
-_FINITE = """
-        try:
-            finite = math.isfinite({key})
-        except OverflowError:  # an integer too large for a float
-            finite = False
-        if not finite:
-            raise SchemaError("{key}", f"must be a finite number, got {{{key}}}")"""
 _TIMESTAMP = """
     try:
         {key} = datetime.fromisoformat({key}.replace("Z", "+00:00"))
@@ -110,13 +102,11 @@ def _compile_parser():
         source += _FIELD.format(
             key=key,
             exact=" or ".join(f"type({key}) is {t.__name__}" for t in exact),
-            finite=" pass" if str in exact else _FINITE.format(key=key),
-            otherwise=f"elif {key} is not None" if nullable else "else",
+            nullable=f" and {key} is not None" if nullable else "",
             null="" if nullable else f'"must not be null" if {key} is None else ',
             types=types,
         )
     source += _TIMESTAMP.format(key="window_start") + _TIMESTAMP.format(key="window_end")
-    source += "\n    cpu_user_time_s = float(cpu_user_time_s)\n    cpu_alloc_cores = float(cpu_alloc_cores)"
     source += f"\n    return TelemetrySample({', '.join(f.name for f in fields(TelemetrySample))})"
     exec(source, globals(), defined := {})
     return defined["parse_telemetry_record"]
@@ -178,11 +168,15 @@ class ReplaySource:
     One JSON object per workload-window per line; consecutive lines with
     the same (window_start, window_end) form one batch, in file order.
     A bad line ends the stream after the batch before it. The file is
-    closed at end of stream, on an error, and by ``close()``.
+    closed at end of stream, on an error, and by ``close()``; a file that
+    cannot be opened is a ``ConfigError``.
     """
 
     def __init__(self, path: str, strict: bool = True):
-        self._fh = open(path, "r", encoding="utf-8")
+        try:
+            self._fh = open(path, "r", encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot read replay {path!r}: {exc}") from None
         self._batches = _read_batches(self._fh, strict)
 
     def next_batch(self) -> Optional[list[TelemetrySample]]:

@@ -147,6 +147,64 @@ def test_controller_sim_cli(tmp_path, capsys):
     )
 
 
+_BUNDLED_SIM = ["--plant", "configs/controller_plant.json", "--ctrl", "configs/controller_buoyancy.json",
+                "--schedule", "configs/schedule_step.json"]
+
+
+@pytest.mark.parametrize(
+    "argv,code,last_line",
+    [
+        pytest.param(["analyze", "--input", "{tmp}/twice.jsonl", "--slo", "{tmp}/agent.json"], 2,
+                     "error: field 'workload_id': duplicate sample for workload 'w1'", id="duplicate-replay-line"),
+        pytest.param(["serve", "--config", "{tmp}/missing-replay.json", "--listen", "127.0.0.1:0"], 1,
+                     "config error: cannot read replay '{tmp}/missing.jsonl': ", id="serve-missing-replay"),
+        pytest.param(["analyze", "--input", "{tmp}/missing.jsonl", "--slo", "{tmp}/agent.json"], 1,
+                     "config error: cannot read replay '{tmp}/missing.jsonl': ", id="analyze-missing-replay"),
+        pytest.param(["surface", "--out", "{tmp}/no/x.csv"], 1,
+                     "config error: cannot write '{tmp}/no/x.csv': ", id="surface-out"),
+        pytest.param(["analyze", "--input", "configs/headroom_medians.json", "--out", "{tmp}/no/x.csv"], 1,
+                     "config error: cannot write '{tmp}/no/x.csv': ", id="analyze-out"),
+        pytest.param(["controller-sim", *_BUNDLED_SIM, "--out", "{tmp}/no/x.csv"], 1,
+                     "config error: cannot write '{tmp}/no/x.csv': ", id="controller-sim-out"),
+        pytest.param(["analyze", "--input", "{tmp}/zero-median.json"], 2,
+                     "error: log_change needs positive values, got (0.0, 11.43)", id="zero-median"),
+    ],
+)
+def test_cli_failure_is_one_line_and_an_exit_code(tmp_path, argv, code, last_line):
+    write_jsonl(tmp_path / "twice.jsonl", [record_dict(), record_dict()])
+    (tmp_path / "agent.json").write_text(json.dumps(_agent_config_dict(str(tmp_path / "twice.jsonl"))))
+    (tmp_path / "missing-replay.json").write_text(json.dumps(_agent_config_dict(str(tmp_path / "missing.jsonl"))))
+    with open("configs/headroom_medians.json", encoding="utf-8") as fh:
+        medians = json.load(fh)
+    medians["workloads"][0]["p95_low_ms"] = 0
+    (tmp_path / "zero-median.json").write_text(json.dumps(medians))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(buoyancy.__file__)))
+    result = subprocess.run(
+        [sys.executable, "-m", "buoyancy.cli", *(arg.format(tmp=tmp_path) for arg in argv)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert "Traceback" not in result.stderr
+    assert result.returncode == code, result.stderr
+    lines = result.stderr.splitlines()
+    assert lines[-1].startswith(last_line.format(tmp=tmp_path))
+    assert [line for line in lines if line.startswith(("config error:", "error:"))] == lines[-1:]
+
+
+def test_controller_sim_config_error_keeps_the_out_file(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    out.write_text("kept\n")
+    ctrl = tmp_path / "ctrl.json"
+    with open("configs/controller_buoyancy.json", encoding="utf-8") as fh:
+        config = json.load(fh)
+    config["actuation_bounds"]["max_cores"] = 12  # over the plant's 8 cores
+    ctrl.write_text(json.dumps(config))
+    argv = ["controller-sim", *_BUNDLED_SIM, "--out", str(out)]
+    argv[argv.index("configs/controller_buoyancy.json")] = str(ctrl)
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("config error: controller: actuation_bounds.max_cores")
+    assert out.read_text() == "kept\n"
+
+
 def _serve_then_signal(tmp_path, signum):
     """Serve the bundled replay, check a scrape, then stop ``serve`` with ``signum``."""
     config = _agent_config_dict("configs/replay_demo.jsonl", window_s=0.1)

@@ -15,6 +15,7 @@ from buoyancy import (
     InvalidSlo,
     NonPositiveInput,
     ResourceScores,
+    SchemaError,
     SloSpec,
     buoyancy,
     log_change,
@@ -308,15 +309,17 @@ def test_step_identical_batches_identical_reports(topo):
 
 def test_step_duplicate_workload_rejected(topo):
     engine = _engine(topo)
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaError) as exc:
         engine.step([make_sample(), make_sample()])
+    assert exc.value.field == "workload_id"
 
 
 def test_step_mixed_windows_rejected(topo):
     # Node CPU and MBW would divide both samples' counters by the 1 s window.
     engine = _engine(topo)
-    with pytest.raises(ValueError, match="one window"):
+    with pytest.raises(SchemaError, match="one window") as exc:
         engine.step([make_sample(window_s=1.0), make_sample(workload_id="w2", window_s=10.0)])
+    assert exc.value.field == "window_start"
 
 
 def test_step_ema_smoothing(topo):
@@ -414,7 +417,7 @@ def test_step_rejected_batch_leaves_state_unchanged(topo):
                        make_sample(workload_id="w2", window_index=3)],
     }
     for message, batch in rejected.items():
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(SchemaError, match=message):
             engine.step(batch)
         assert engine.tracked_workloads == tracked == ["w1", "w2", "w3"]
         assert _workload_states(engine) == states
@@ -462,7 +465,7 @@ def _drawn_batch(index, drawn):
 def _outcome(step, batch):
     try:
         return step(batch)
-    except (ValueError, EmptyNode) as exc:
+    except (SchemaError, EmptyNode) as exc:
         return type(exc), str(exc)
 
 

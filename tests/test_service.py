@@ -16,7 +16,7 @@ from buoyancy import BuoyancyReport, Engine, NodeReport, ResourceScores, SchemaE
 from buoyancy import server as server_module
 from buoyancy.exposition import CONTENT_TYPE, METRIC_NAMES, render_openmetrics
 from buoyancy.server import AgentConfig, MetricsAgent, _json_default, make_server, report_to_json
-from buoyancy.errors import BindError, ConfigError
+from buoyancy.errors import BindError, ConfigError, EmptyNode
 
 from . import openmetrics
 from .conftest import EPOCH, TABLE_TOPO, make_sample, no_unclosed_file, two_workload_replay
@@ -424,6 +424,30 @@ def test_healthz_after_the_engine_loop_ends(tmp_path, tail, error):
         server.shutdown()
         server.server_close()
         agent.stop()
+
+
+def test_empty_window_stops_the_loop_instead_of_keeping_the_last(tmp_path):
+    agent = MetricsAgent(AgentConfig.from_dict(_agent_config_dict(two_workload_replay(tmp_path / "t.jsonl"))))
+    assert agent.step_once()
+    last = agent.current_snapshot()
+    agent._source.close()
+
+    class EmptySource:
+        def next_batch(self):
+            return []
+
+        def close(self):
+            pass
+
+    agent._source = EmptySource()
+    with pytest.raises(EmptyNode):
+        agent.step_once()
+    agent.start()
+    agent._thread.join(timeout=5.0)
+    assert not agent._thread.is_alive()
+    assert agent.error == "EmptyNode: empty telemetry batch"
+    assert agent.current_snapshot() is last  # what /metrics still holds; /healthz and serve report the error
+    agent.stop()
 
 
 def test_engine_loop_runs_on_monotonic_deadlines(tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ import math
 import statistics
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from buoyancy import (
@@ -18,6 +18,7 @@ from buoyancy import (
     ReplaySource,
     SchemaError,
     SloSpec,
+    TelemetrySample,
     demo_plant_config,
     fit_mrc,
 )
@@ -186,7 +187,7 @@ def test_replay_bad_line_ends_stream(tmp_path, monkeypatch, lines, delivered, er
 
 #: Values each schema field is set to in turn: wrong types, empties, signs,
 #: non-finite floats, and the integers on either side of the largest one a
-#: float can hold (``isfinite`` accepts the first and overflows on the second).
+#: float can hold (the first is finite, the second is not).
 _BAD_VALUES = [
     None, True, "", "4", [1.0], {}, 1.5, -1, 0, math.nan, math.inf, -math.inf,
     10**400, 2**1024 - 2**970 - 1, 2**1024 - 2**970,
@@ -282,9 +283,64 @@ def _corrupted_records(draw):
     return record
 
 
+# Hypothesis writes its Unicode tables on the first draw of st.text(), which makes a cold run slow to start.
+@settings(suppress_health_check=[HealthCheck.too_slow])
 @given(record=_corrupted_records(), strict=st.booleans())
 def test_parser_matches_reference_on_corrupted_records(record, strict):
     _parity(record, strict)
+
+
+_NUMBERS = [key for key, (types, _) in _SCHEMA.items() if types is not str]
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf, 2**1024 - 2**970], ids=["inf", "nan", "-inf", "huge"])
+@pytest.mark.parametrize("key", _NUMBERS)
+def test_parser_leaves_every_number_rule_to_the_sample(key, value):
+    # json reads NaN, Infinity and integers too large for a float, so the value arrives as it is written here.
+    record = json.loads(json.dumps(_with(key, value)))
+    with pytest.raises(SchemaError) as parsed:
+        parse_telemetry_record(record)
+    assert parsed.value.field == key
+    types = _SCHEMA[key][0]
+    if type(value) not in (types if isinstance(types, tuple) else (types,)):  # a float in an integer field
+        assert str(parsed.value).endswith(f"expected {types}, got float")
+        return
+    window = parse_telemetry_record(record_dict())
+    with pytest.raises(SchemaError) as built:
+        TelemetrySample(**dict(record, window_start=window.window_start, window_end=window.window_end))
+    assert (parsed.value.field, str(parsed.value)) == (built.value.field, str(built.value))
+    if value > 0:
+        assert str(parsed.value).endswith("must be finite")
+
+
+#: The ``_BAD_VALUES`` entries that each number field accepts, by index, as the
+#: parser that still checked finiteness itself accepted them: 0 None, 6 1.5, 8 0, and
+#: 13 the largest integer a float holds. Every other entry is rejected.
+_ACCEPTED = {
+    "cpu_user_time_s": {6, 8, 13},
+    "cpu_alloc_cores": {6, 13},
+    "mem_refs": {8, 13},
+    "l1_miss": {8, 13},
+    "l2_miss": {8, 13},
+    "l3_miss": {8, 13},
+    "mbw_bytes": {8, 13},
+    "mbw_alloc_bytes_per_s": {0, 13},
+    "llc_alloc_kib": {0, 6, 13},
+    "kpi_value": {0, 6, 8, 13},
+}
+
+
+@pytest.mark.parametrize("key", _NUMBERS)
+def test_parser_accepted_numbers_per_field(key):
+    accepted = set()
+    for index, value in enumerate(_BAD_VALUES):
+        try:
+            parse_telemetry_record(_with(key, value))
+        except SchemaError as exc:
+            assert exc.field == key, (value, exc)
+        else:
+            accepted.add(index)
+    assert accepted == _ACCEPTED[key]
 
 
 def test_replay_calls_the_module_parser_once_per_record(tmp_path, monkeypatch):
