@@ -15,11 +15,12 @@ integrator cannot slingshot across the latency knee.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .config import _lookup, build, config_field, read_json
 from .engine import DEFAULT_ALPHA, Engine, EngineConfig
+from .errors import ConfigError
 from .model import SloSpec, value_type
 from .sources import Allocation, ContentionPlant, PlantConfig
 
@@ -69,9 +70,13 @@ class InterferenceSchedule:
 
     @staticmethod
     def from_dict(obj: dict) -> "InterferenceSchedule":
-        """From ``{"steps": [{"window": W, "level": L}, ...]}``, in any order."""
+        """From ``{"steps": [{"window": W, "level": L}, ...]}``, in any order, each window once."""
         steps = build(tuple[_ScheduleStep, ...], *_lookup(obj, ("steps",), "schedule"))
-        return InterferenceSchedule(steps=tuple(sorted((s.window, s.level) for s in steps)))
+        steps = tuple(sorted((s.window, s.level) for s in steps))
+        for (window, _), (following, _) in zip(steps, steps[1:]):
+            if window == following:
+                raise ConfigError(f"schedule.steps: window {window} is given more than once")
+        return InterferenceSchedule(steps=steps)
 
     @staticmethod
     def from_file(path: str) -> "InterferenceSchedule":
@@ -125,22 +130,17 @@ class ControlRecord:
     mode: str
 
 
-@dataclass
 class ExtremumSeeker:
     """One-dimensional perturbation-correlation extremum seeker."""
 
-    config: ControllerConfig
-    base: float
-    _phase_index: int = 0
-    _demod_sum: float = 0.0
-    _error_sum: float = 0.0
-    _applied: float = field(init=False, default=0.0)
-    _sines: tuple[float, ...] = field(init=False, repr=False)  # the perturbation at each phase index
-
-    def __post_init__(self):
-        self.base = self._clip_base(self.base)
-        period = self.config.perturb_period
-        self._sines = tuple(math.sin(2.0 * math.pi * i / period) for i in range(period))
+    def __init__(self, config: ControllerConfig, base: float):
+        self.config = config
+        self.base = self._clip_base(base)
+        self._phase_index = 0
+        self._demod_sum = 0.0
+        self._error_sum = 0.0
+        period = config.perturb_period
+        self._sines = tuple(math.sin(2.0 * math.pi * i / period) for i in range(period))  # perturbation by phase
 
     def _clip_base(self, value: float) -> float:
         cfg = self.config
@@ -154,8 +154,7 @@ class ExtremumSeeker:
         """Cores to apply this window (base plus perturbation, in bounds)."""
         cfg = self.config
         raw = self.base + cfg.perturb_amplitude * self._sines[self._phase_index]
-        self._applied = min(max(raw, cfg.min_cores), cfg.max_cores)
-        return self._applied
+        return min(max(raw, cfg.min_cores), cfg.max_cores)
 
     def observe(self, measured: float):
         """Feed this window's measurement; updates base once per period."""
@@ -205,9 +204,8 @@ def run_experiment(
         )
         seeker = ExtremumSeeker(config=ctrl, base=experiment.initial_cores)
         for t in range(experiment.windows):
-            plant.interference = schedule.level(t)
             cores = seeker.next_allocation()
-            batch, _ = plant.step({wid: Allocation(cores, llc_kib, load_rps)})
+            batch, _ = plant.step({wid: Allocation(cores, llc_kib, load_rps)}, schedule.level(t))
             b = engine.step(batch).workload_reports[0].buoyancy
             measured_p95 = batch[0].kpi_value
             seeker.observe(b if by_buoyancy else measured_p95)

@@ -190,10 +190,12 @@ class Engine:
         takes the same ``math.fsum`` totals (correctly rounded, so the
         container does not matter) to the same ``_node_scores``.
         """
+        if not batch:
+            raise EmptyNode("empty telemetry batch")
         states = self._state
         seen = set()
         # Node CPU and MBW divide by one window length: the first sample's.
-        start, end = (batch[0].window_start, batch[0].window_end) if batch else (None, None)
+        start, end = batch[0].window_start, batch[0].window_end
         for sample in batch:
             wid = sample.workload_id
             if wid in seen:
@@ -210,9 +212,6 @@ class Engine:
                     state.missed_windows += 1
                     if state.missed_windows > cfg.expiry_windows:
                         del states[wid]
-
-        if not batch:
-            raise EmptyNode("empty telemetry batch")
 
         alpha = cfg.alpha
         threshold = cfg.violation_threshold

@@ -112,8 +112,7 @@ class MetricsAgent:
         if config.source_type == "replay":
             self._source = ReplaySource(config.replay_path, strict=config.replay_strict)
         else:
-            plant = ContentionPlant(config.plant, interference=config.interference)
-            self._source = PlantSource(plant, config.allocations)
+            self._source = PlantSource(ContentionPlant(config.plant), config.allocations, config.interference)
         self._snapshot: Optional[Snapshot] = None
         #: What ended the engine loop, when an error did; None while it runs or after the source ended.
         self.error: Optional[str] = None

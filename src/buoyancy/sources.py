@@ -8,7 +8,7 @@ The plant is a desk-scale stand-in for a contended node. Per workload,
 with allocation (cores c, LLC share s, offered load lam req/s):
 
 * service rate  mu = c * mu1 * (1 - gamma * I), where I in [0, 1] is the
-  externally driven co-location pressure;
+  externally driven co-location pressure, an input of each window's step;
 * p95 latency   L0 + K / (mu - lam) while lam < 0.95 mu, and 10x the
   saturation value past that point (the overload knee);
 * miss ratios   exactly on the power law M(x) = sqrt(W / x) clamped to 1,
@@ -26,7 +26,7 @@ import json
 import logging
 import math
 import random
-from dataclasses import dataclass, field as dc_field, fields
+from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
 from typing import IO, Iterator, Mapping, Optional
 
@@ -289,30 +289,23 @@ class PlantConfig:
             raise CapacityExceeded(f"allocated {llc} KiB of a {self.topology.l3_size_kib} KiB LLC")
 
 
-@dataclass
 class ContentionPlant:
     """Deterministic synthetic plant; reproducible for a given seed."""
 
-    config: PlantConfig
-    interference: float = 0.0
-    _rng: random.Random = dc_field(init=False, repr=False)
-    _window_index: int = dc_field(init=False, default=0, repr=False)
-    #: Each workload with its L1, L2 and full-L3 miss ratios, which the config fixes.
-    _workloads: dict[str, tuple[PlantWorkload, float, float, float]] = dc_field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._rng = random.Random(self.config.seed)
-        topo = self.config.topology
-        fixed = (topo.l1_size_kib, topo.l2_size_kib, topo.l3_size_kib)
-        self._workloads = {w.id: (w, *map(w.miss_ratio, fixed)) for w in self.config.workloads}
+    def __init__(self, config: PlantConfig):
+        self.config = config
+        self._rng = random.Random(config.seed)
+        self._window_index = 0
+        fixed = (config.topology.l1_size_kib, config.topology.l2_size_kib, config.topology.l3_size_kib)
+        #: Each workload with its L1, L2 and full-L3 miss ratios, which the config fixes.
+        self._workloads = {w.id: (w, *map(w.miss_ratio, fixed)) for w in config.workloads}
 
     def step(
-        self, allocations: Mapping[str, Allocation]
+        self, allocations: Mapping[str, Allocation], interference: float = 0.0
     ) -> tuple[list[TelemetrySample], dict[str, float]]:
-        """Advance one window; returns (samples, true p95 latencies by id)."""
+        """Advance one window under ``interference`` in [0, 1]; returns (samples, true p95 latencies by id)."""
         cfg = self.config
         cfg.check_allocations(allocations)
-        interference = self.interference
         if not 0.0 <= interference <= 1.0:
             raise ValueError("interference must be in [0, 1]")
         l3_kib = cfg.topology.l3_size_kib
@@ -355,14 +348,15 @@ class ContentionPlant:
 
 
 class PlantSource:
-    """Adapter driving a plant with fixed allocations, as a sample source."""
+    """Adapter driving a plant with fixed allocations and interference, as a sample source."""
 
-    def __init__(self, plant: ContentionPlant, allocations: Mapping[str, Allocation]):
+    def __init__(self, plant: ContentionPlant, allocations: Mapping[str, Allocation], interference: float = 0.0):
         self._plant = plant
         self._allocations = dict(allocations)
+        self._interference = interference
 
     def next_batch(self) -> list[TelemetrySample]:
-        batch, _ = self._plant.step(self._allocations)
+        batch, _ = self._plant.step(self._allocations, self._interference)
         return batch
 
     def close(self):

@@ -251,13 +251,16 @@ def node_resource_scores_reference(scored, topology, node_cores):
 def engine_step_reference(engine, batch):
     """The three-pass ``Engine.step`` that the one-pass step replaced.
 
-    Pass one checks the batch for duplicates and mixed windows, pass two
-    ages absent workloads, pass three scores; the node figures then come
-    from ``node_resource_scores_reference`` and ``node_buoyancy``. It reads and
+    An empty batch is rejected first. Pass one checks the batch for
+    duplicates and mixed windows, pass two ages absent workloads, pass
+    three scores; the node figures then come from
+    ``node_resource_scores_reference`` and ``node_buoyancy``. It reads and
     updates ``engine``'s state exactly as the engine does.
     """
+    if not batch:
+        raise EmptyNode("empty telemetry batch")
     seen = set()
-    window = (batch[0].window_start, batch[0].window_end) if batch else None
+    window = (batch[0].window_start, batch[0].window_end)
     for sample in batch:
         if sample.workload_id in seen:
             raise SchemaError("workload_id", f"duplicate sample for workload {sample.workload_id!r}")
@@ -271,9 +274,6 @@ def engine_step_reference(engine, batch):
             state.missed_windows += 1
             if state.missed_windows > engine.config.expiry_windows:
                 del engine._state[wid]
-
-    if not batch:
-        raise EmptyNode("empty telemetry batch")
 
     cfg = engine.config
     alpha = cfg.alpha
@@ -325,7 +325,7 @@ def _noisy_reference(plant, value):
     return max(value * (1.0 + sigma * plant._rng.gauss(0.0, 1.0)), 0.0)
 
 
-def plant_step_reference(plant, allocations):
+def plant_step_reference(plant, allocations, interference=0.0):
     """The ``ContentionPlant.step`` and ``_noisy`` that the hoisted plant step replaced.
 
     Every miss ratio is computed per step, and the noise is drawn from
@@ -335,7 +335,7 @@ def plant_step_reference(plant, allocations):
     cfg = plant.config
     topo = cfg.topology
     cfg.check_allocations(allocations)
-    if not 0.0 <= plant.interference <= 1.0:
+    if not 0.0 <= interference <= 1.0:
         raise ValueError("interference must be in [0, 1]")
 
     window = cfg.window_s
@@ -350,7 +350,7 @@ def plant_step_reference(plant, allocations):
         lam = alloc.load_rps
         s_llc = alloc.llc_kib if alloc.llc_kib is not None else topo.l3_size_kib
 
-        latency = w.p95_latency_ms(alloc.cores, lam, plant.interference)
+        latency = w.p95_latency_ms(alloc.cores, lam, interference)
         true_latency[wid] = latency
 
         m_l1 = w.miss_ratio(topo.l1_size_kib)
@@ -392,8 +392,7 @@ class SeekerReference(ExtremumSeeker):
     def next_allocation(self):
         cfg = self.config
         raw = self.base + cfg.perturb_amplitude * self._sin()
-        self._applied = min(max(raw, cfg.min_cores), cfg.max_cores)
-        return self._applied
+        return min(max(raw, cfg.min_cores), cfg.max_cores)
 
     def observe(self, measured):
         cfg = self.config

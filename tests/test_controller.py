@@ -111,6 +111,8 @@ def test_schedule_from_dict_and_errors():
     ({"steps": [{"window": 1}]}, "schedule.steps[0].level: missing"),
     ({"steps": [{"window": 1, "level": 0.5}, {"window": 2, "level": 2}]},
      "schedule.steps[1]: level must be in [0, 1], got 2.0"),
+    ({"steps": [{"window": 100, "level": 0.5}, {"window": 100, "level": 0.2}]},
+     "schedule.steps: window 100 is given more than once"),
 ])
 def test_schedule_errors_name_their_location(obj, message):
     with pytest.raises(ConfigError) as exc:
@@ -263,13 +265,13 @@ def test_seeker_matches_per_window_sine_reference(mode, setpoint, period):
     ctrl = ControllerConfig(mode=mode, setpoint=setpoint, perturb_period=period, perturb_amplitude=0.75, gain=1.5)
     seeker, reference = ExtremumSeeker(config=ctrl, base=4.0), SeekerReference(config=ctrl, base=4.0)
     for t in range(5 * period + 3):
-        assert seeker.next_allocation() == reference.next_allocation()
-        measured = setpoint * (1.0 + 0.5 * math.cos(0.37 * t)) + 0.01 * seeker._applied
+        applied = seeker.next_allocation()
+        assert applied == reference.next_allocation()
+        measured = setpoint * (1.0 + 0.5 * math.cos(0.37 * t)) + 0.01 * applied
         seeker.observe(measured)
         reference.observe(measured)
-        got = (seeker.base, seeker._phase_index, seeker._demod_sum, seeker._error_sum, seeker._applied)
-        assert got == (reference.base, reference._phase_index, reference._demod_sum, reference._error_sum,
-                       reference._applied)
+        got = (seeker.base, seeker._phase_index, seeker._demod_sum, seeker._error_sum)
+        assert got == (reference.base, reference._phase_index, reference._demod_sum, reference._error_sum)
 
 
 def _run_experiment_reference(plant_config, ctrl, schedule, experiment):
@@ -287,10 +289,9 @@ def _run_experiment_reference(plant_config, ctrl, schedule, experiment):
         )
         seeker = SeekerReference(config=ctrl, base=experiment.initial_cores)
         for t in range(experiment.windows):
-            plant.interference = schedule.level(t)
             cores = seeker.next_allocation()
             allocation = Allocation(cores=cores, llc_kib=experiment.llc_alloc_kib, load_rps=experiment.load_rps)
-            batch, _ = plant_step_reference(plant, {wid: allocation})
+            batch, _ = plant_step_reference(plant, {wid: allocation}, schedule.level(t))
             workload_report = engine_step_reference(engine, batch).workload_reports[0]
             measured_p95 = batch[0].kpi_value
             seeker.observe(workload_report.buoyancy if ctrl.mode == MODE_BUOYANCY else measured_p95)

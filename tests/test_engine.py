@@ -415,9 +415,10 @@ def test_step_rejected_batch_leaves_state_unchanged(topo):
                       make_sample(window_index=2)],
         "one window": [make_sample(window_index=2, cpu_user_time_s=1.9, kpi_value=9.0),
                        make_sample(workload_id="w2", window_index=3)],
+        "empty telemetry batch": [],
     }
     for message, batch in rejected.items():
-        with pytest.raises(SchemaError, match=message):
+        with pytest.raises((SchemaError, EmptyNode), match=message):
             engine.step(batch)
         assert engine.tracked_workloads == tracked == ["w1", "w2", "w3"]
         assert _workload_states(engine) == states

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from buoyancy import BuoyancyReport, Engine, NodeReport, ResourceScores, SchemaError, SloSpec
+from buoyancy import BuoyancyReport, ContentionPlant, Engine, NodeReport, ResourceScores, SchemaError, SloSpec
 from buoyancy import server as server_module
 from buoyancy.exposition import CONTENT_TYPE, METRIC_NAMES, render_openmetrics
 from buoyancy.server import AgentConfig, MetricsAgent, _json_default, make_server, report_to_json
@@ -557,3 +557,19 @@ def test_config_plant_source():
     agent = MetricsAgent(config)
     assert agent.step_once()
     assert agent.snapshot().workload_reports[0].workload_id == "svc"
+
+
+def test_plant_agent_runs_at_its_configured_interference():
+    with open("configs/agent_plant.json", encoding="utf-8") as fh:
+        obj = json.load(fh)
+    node_buoyancy = {}
+    for level in (0.0, 0.5):
+        obj["source"]["interference"] = level
+        config = AgentConfig.from_dict(obj)
+        agent = MetricsAgent(config)
+        assert agent.step_once()
+        want = config.new_engine().step(ContentionPlant(config.plant).step(config.allocations, level)[0])
+        assert agent.snapshot() == want
+        assert repr(agent.snapshot()) == repr(want)
+        node_buoyancy[level] = agent.snapshot().node_buoyancy
+    assert node_buoyancy[0.5] < node_buoyancy[0.0]

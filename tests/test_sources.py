@@ -560,8 +560,7 @@ def test_plant_latency_monotone_in_load_and_cores():
 def test_plant_interference_slows_service():
     plant = ContentionPlant(_single_plant())
     _, calm = plant.step({"svc": Allocation(cores=4.0, load_rps=200.0)})
-    plant.interference = 0.5
-    _, pressured = plant.step({"svc": Allocation(cores=4.0, load_rps=200.0)})
+    _, pressured = plant.step({"svc": Allocation(cores=4.0, load_rps=200.0)}, 0.5)
     assert pressured["svc"] > calm["svc"]
 
 
@@ -607,11 +606,10 @@ def test_plant_unknown_workload_named_before_capacity():
 
 def test_plant_rejected_step_keeps_the_clock():
     allocation = {"svc": Allocation(cores=4.0, load_rps=10.0)}
-    plant = ContentionPlant(_single_plant(), interference=1.5)
+    plant = ContentionPlant(_single_plant())
     with pytest.raises(ValueError):
-        plant.step(allocation)
-    plant.interference = 0.5
-    after_rejection, _ = plant.step(allocation)
+        plant.step(allocation, 1.5)
+    after_rejection, _ = plant.step(allocation, 0.5)
     fresh, _ = ContentionPlant(_single_plant()).step(allocation)
     assert after_rejection[0].window_start == fresh[0].window_start
 
@@ -620,12 +618,11 @@ def test_plant_infinite_kpi_is_rejected():
     # At full interference the service rate is 0 and the closed-form latency
     # infinite; an infinite KPI would reach /v1/node as -Infinity.
     allocation = {"svc": Allocation(cores=4.0, load_rps=10.0)}
-    plant = ContentionPlant(_single_plant(interference_sensitivity=1.0), interference=1.0)
+    plant = ContentionPlant(_single_plant(interference_sensitivity=1.0))
     with pytest.raises(SchemaError) as exc:
-        plant.step(allocation)
+        plant.step(allocation, 1.0)
     assert exc.value.field == "kpi_value"
-    plant.interference = 0.5
-    after_rejection, _ = plant.step(allocation)
+    after_rejection, _ = plant.step(allocation, 0.5)
     fresh, _ = ContentionPlant(_single_plant(interference_sensitivity=1.0)).step(allocation)
     assert after_rejection[0].window_start == fresh[0].window_start
 
@@ -661,9 +658,9 @@ _PARITY_STEPS = [
 ]
 
 
-def _plant_outcome(step, allocations):
+def _plant_outcome(step, allocations, interference):
     try:
-        return step(allocations)
+        return step(allocations, interference)
     except (ValueError, SchemaError) as exc:
         return type(exc), str(exc)
 
@@ -673,9 +670,8 @@ def _plant_outcome(step, allocations):
 def test_plant_step_matches_reference(seed, noise):
     plant, reference = ContentionPlant(_parity_plant(seed, noise)), ContentionPlant(_parity_plant(seed, noise))
     for interference, allocations in _PARITY_STEPS * 2:
-        plant.interference = reference.interference = interference
-        got = _plant_outcome(plant.step, allocations)
-        want = _plant_outcome(lambda a: plant_step_reference(reference, a), allocations)
+        got = _plant_outcome(plant.step, allocations, interference)
+        want = _plant_outcome(lambda a, i: plant_step_reference(reference, a, i), allocations, interference)
         assert got == want
         assert repr(got) == repr(want)  # samples and true latencies, bit for bit
         assert plant._rng.getstate() == reference._rng.getstate()
