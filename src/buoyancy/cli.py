@@ -57,7 +57,7 @@ def cmd_serve(args) -> int:
     signal.signal(signal.SIGINT, lambda signum, frame: signals.append(signum))
     signal.signal(signal.SIGTERM, lambda signum, frame: signals.append(signum))
     agent.start()
-    threading.Thread(target=server.serve_forever, args=(0.1,), name="http", daemon=True).start()
+    threading.Thread(target=server.serve_forever, name="http", daemon=True).start()
     log.info("listening on %s:%s", *server.server_address[:2])
     while not signals and agent.error is None:  # a normal end of the replay keeps serving
         time.sleep(0.1)

@@ -7,20 +7,29 @@ a half-written window. Each snapshot renders its ``/metrics`` and
 ``/v1/node`` bodies on first read and shares them with later readers.
 
 Endpoints: ``/metrics`` (OpenMetrics text), ``/v1/node`` (JSON report),
-``/v1/workloads/{id}`` (JSON per-workload report, 404 if unknown), and
-``/healthz`` (503 with the error once an error has stopped the engine loop).
+``/v1/workloads/{id}`` (JSON per-workload report, 404 if unknown; the id is
+percent-decoded), and ``/healthz`` (503 with the error once an error has
+stopped the engine loop). HTTP/1.0 with one GET per connection: each of
+``CONNECTION_THREADS`` threads accepts, reads the head and answers with one
+write of the status line, ``Content-Type``, ``Content-Length`` and body. A
+bad request line gets 400, another method 501, a head over ``MAX_HEAD_BYTES``
+431 and a handler error 500; a query string is ignored, and a connection
+silent for ``CONNECTION_TIMEOUT_S`` is dropped.
 """
 
+import contextlib
 import json
 import logging
+import re
+import socket
 import threading
 from datetime import datetime
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 from time import monotonic
 from typing import Optional
+from urllib.parse import unquote
 
-# Re-exported from buoyancy.config: callers written before that module
-# existed import AgentConfig and plant_config_from_dict from here.
+# Re-exported for callers written before buoyancy.config existed.
 from .config import AgentConfig, plant_config_from_dict  # noqa: F401
 from .engine import NodeReport
 from .errors import BindError
@@ -29,6 +38,11 @@ from .model import BuoyancyReport, ResourceScores
 from .sources import ContentionPlant, PlantSource, ReplaySource
 
 log = logging.getLogger(__name__)
+
+CONNECTION_THREADS = 8
+CONNECTION_TIMEOUT_S = 10.0
+MAX_HEAD_BYTES = 64 * 1024
+_HEAD_END = re.compile(rb"\r?\n\r?\n")
 
 
 def _json_default(value):
@@ -169,20 +183,42 @@ class MetricsAgent:
             self._source.close()
 
 
-class _Handler(BaseHTTPRequestHandler):
-    agent: MetricsAgent = None  # set by make_server
+class _Handler:
+    """One request on one connection, answered with a single write."""
 
-    def log_message(self, fmt, *args):  # route http.server chatter to logging
-        log.debug("http: " + fmt, *args)
+    request_line = path = ""
+
+    def __init__(self, agent: MetricsAgent, conn: socket.socket):
+        self.agent, self.conn = agent, conn
 
     def _send(self, status: int, payload: bytes, content_type: str = "text/plain; charset=utf-8"):
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+        head = f"HTTP/1.0 {status} {HTTPStatus(status).phrase}\r\nContent-Type: {content_type}\r\n"
+        log.debug('http: "%s" %d %d', self.request_line, status, len(payload))
+        self.conn.sendall(f"{head}Content-Length: {len(payload)}\r\n\r\n".encode("latin-1") + payload)
 
-    def do_GET(self):  # noqa: N802 (http.server API)
+    def handle(self):
+        """Read the request head and answer it; a client that sends nothing gets nothing."""
+        head = bytearray()
+        while chunk := self.conn.recv(16384):
+            head += chunk  # searched from where the new bytes could complete the blank line
+            if len(head) > MAX_HEAD_BYTES or _HEAD_END.search(head, len(head) - len(chunk) - 3):
+                break
+        if not head:
+            return
+        head = _HEAD_END.split(head, 1)[0]
+        self.request_line = head.split(b"\n", 1)[0].rstrip(b"\r").decode("latin-1")
+        words = self.request_line.split()
+        if len(head) > MAX_HEAD_BYTES:
+            self._send(431, b"request head too large")
+        elif len(words) != 3 or not words[2].startswith("HTTP/"):
+            self._send(400, b"bad request line")
+        elif words[0] != "GET":
+            self._send(501, b"" if words[0] == "HEAD" else f"unsupported method {words[0]!r}".encode("latin-1"))
+        else:
+            self.path = words[1]
+            self.do_GET()
+
+    def do_GET(self):  # noqa: N802 (looked up on the class per request, so it can be wrapped)
         path = self.path.split("?", 1)[0]
         if path == "/healthz":
             error = self.agent.error
@@ -190,19 +226,16 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send(200, b"ok")
             else:
                 self._send(503, f"engine loop stopped: {error}".encode("utf-8"))
-            return
-        if path not in ("/metrics", "/v1/node") and not path.startswith("/v1/workloads/"):
+        elif path not in ("/metrics", "/v1/node") and not path.startswith("/v1/workloads/"):
             self._send(404, b"not found")
-            return
-        snapshot = self.agent.current_snapshot()
-        if snapshot is None:
+        elif (snapshot := self.agent.current_snapshot()) is None:
             self._send(503, b"no report yet")
         elif path == "/metrics":
             self._send(200, snapshot.metrics_body(), content_type=CONTENT_TYPE)
         elif path == "/v1/node":
             self._send(200, snapshot.node_body(), content_type="application/json")
         else:
-            wid = path[len("/v1/workloads/"):]
+            wid = unquote(path[len("/v1/workloads/"):])
             wr = snapshot.workload(wid)
             if wr is None:
                 self._send(404, f"unknown workload {wid!r}".encode("utf-8"))
@@ -210,11 +243,52 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send(200, report_to_json(wr).encode("utf-8"), content_type="application/json")
 
 
-def make_server(agent: MetricsAgent, host: str, port: int) -> ThreadingHTTPServer:
+class HttpServer:
+    """A listener served by ``CONNECTION_THREADS`` threads that each accept and answer."""
+
+    def __init__(self, listener: socket.socket, agent: MetricsAgent):
+        self._listener, self._agent = listener, agent
+        self._stop = threading.Event()
+        self.server_address = listener.getsockname()
+
+    def serve_forever(self):
+        """Start the connection threads; return once ``shutdown`` is called."""
+        for i in range(CONNECTION_THREADS):
+            threading.Thread(target=self._accept_loop, name=f"http-{i}", daemon=True).start()
+        self._stop.wait()
+
+    def shutdown(self):
+        """Wake every blocked ``accept()`` (Linux); each thread ends after its current request."""
+        self._stop.set()
+        self._listener.shutdown(socket.SHUT_RDWR)
+
+    def server_close(self):
+        self._listener.close()
+
+    def _accept_loop(self):
+        while not self._stop.is_set():
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                self._stop.wait(0.05)  # shut down, or out of descriptors: retry after a pause
+                continue
+            with conn:
+                conn.settimeout(CONNECTION_TIMEOUT_S)
+                handler = _Handler(self._agent, conn)
+                try:
+                    handler.handle()
+                except OSError as exc:  # the client went silent or away
+                    log.debug("http: connection dropped: %s", exc)
+                except Exception:  # the connection's boundary: log, answer 500, keep the thread
+                    log.exception('http: "%s" failed', handler.request_line)
+                    with contextlib.suppress(OSError):
+                        handler._send(500, b"internal server error")
+
+
+def make_server(agent: MetricsAgent, host: str, port: int) -> HttpServer:
     """Bind the HTTP listener; raises BindError if the address is taken."""
-    handler = type("Handler", (_Handler,), {"agent": agent})
     try:
-        return ThreadingHTTPServer((host, port), handler)
+        listener = socket.create_server((host, port))
     except OSError as exc:
         raise BindError(f"cannot bind {host}:{port}: {exc}") from None
-
+    return HttpServer(listener, agent)

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import buoyancy
 
@@ -14,3 +18,18 @@ def test_all_lists_every_public_name_once_and_each_resolves():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == set(exported)
+
+
+def test_importing_the_cli_loads_no_http_server_stack():
+    """The agent's HTTP front end is its own; http.server would bring email and ssl along."""
+    unwanted = ("http.server", "http.client", "socketserver", "email", "ssl")
+    probe = f"import sys, buoyancy.cli; print([m for m in {unwanted!r} if m in sys.modules])"
+    src = Path(buoyancy.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

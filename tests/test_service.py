@@ -1,10 +1,13 @@
 import dataclasses
 import json
+import logging
 import math
+import socket
 import sys
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 from datetime import datetime, timedelta, timezone
 
@@ -19,7 +22,7 @@ from buoyancy.server import AgentConfig, MetricsAgent, _json_default, make_serve
 from buoyancy.errors import BindError, ConfigError, EmptyNode
 
 from . import openmetrics
-from .conftest import EPOCH, TABLE_TOPO, make_sample, no_unclosed_file, two_workload_replay
+from .conftest import EPOCH, TABLE_TOPO, make_sample, no_unclosed_file, record_dict, two_workload_replay, write_jsonl
 
 
 def _agent_config_dict(replay_path, window_s=0.05):
@@ -501,6 +504,208 @@ def test_bind_error(tmp_path):
     finally:
         server.server_close()
         agent.stop()
+
+
+def _exchange(port, request: bytes, timeout=5.0) -> bytes:
+    """Send ``request`` on a new connection; everything the server writes before it closes."""
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:  # unread request bytes make the close a reset
+                break
+            if not chunk:
+                break
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _status_line(response: bytes) -> bytes:
+    return response.split(b"\r\n", 1)[0]
+
+
+@pytest.fixture
+def served(tmp_path):
+    """A listener over an agent that has stepped one window and steps no further."""
+    agent = MetricsAgent(AgentConfig.from_dict(_agent_config_dict(two_workload_replay(tmp_path / "t.jsonl"))))
+    assert agent.step_once()
+    server = make_server(agent, "127.0.0.1", 0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    port = server.server_address[1]
+    try:
+        yield agent, port, f"http://127.0.0.1:{port}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        agent.stop()
+
+
+def test_response_is_one_http_1_0_answer_with_type_and_length(served):
+    _, port, _ = served
+    response = _exchange(port, b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+    assert response == b"HTTP/1.0 200 OK\r\nContent-Type: text/plain; charset=utf-8\r\nContent-Length: 2\r\n\r\nok"
+
+
+@pytest.mark.parametrize(
+    "request_line",
+    [b"GARBAGE", b"", b"GET /metrics", b"GET /metrics FTP/1.0", b"GET /metrics HTTP/1.0 extra"],
+)
+def test_malformed_request_line_gets_400(served, request_line):
+    _, port, _ = served
+    response = _exchange(port, request_line + b"\r\nHost: x\r\n\r\n")
+    assert _status_line(response) == b"HTTP/1.0 400 Bad Request"
+    assert response.endswith(b"\r\n\r\nbad request line")
+
+
+def test_methods_other_than_get_get_501(served):
+    _, port, _ = served
+    post = _exchange(port, b"POST /metrics HTTP/1.0\r\nContent-Length: 0\r\n\r\n")
+    assert _status_line(post) == b"HTTP/1.0 501 Not Implemented"
+    assert post.endswith(b"\r\n\r\nunsupported method 'POST'")
+    head = _exchange(port, b"HEAD /metrics HTTP/1.0\r\n\r\n")
+    assert _status_line(head) == b"HTTP/1.0 501 Not Implemented"
+    assert head.endswith(b"Content-Length: 0\r\n\r\n")  # no body answers a HEAD
+
+
+def test_request_head_over_the_limit_gets_431(served):
+    _, port, base = served
+    limit = server_module.MAX_HEAD_BYTES
+    _, _, metrics = _get(f"{base}/metrics")
+    under = b"GET /metrics HTTP/1.0\r\nX-Pad: " + b"a" * (limit - 100) + b"\r\n\r\n"
+    assert _exchange(port, under).endswith(metrics.encode())
+    over = b"GET /metrics HTTP/1.0\r\nX-Pad: " + b"a" * limit + b"\r\n\r\n"
+    assert _status_line(_exchange(port, over)) == b"HTTP/1.0 431 Request Header Fields Too Large"
+    assert _status_line(_exchange(port, b"GET /" + b"a" * limit)) == b"HTTP/1.0 431 Request Header Fields Too Large"
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\n"], ids=["crlf", "lf"])
+def test_head_ends_at_its_blank_line_across_reads(served, newline):
+    _, port, _ = served
+    request = b"GET /healthz HTTP/1.0" + newline + b"Host: x" + newline + newline
+    with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for i in range(len(request)):  # one byte per read, so the blank line spans reads
+            sock.sendall(request[i:i + 1])
+            time.sleep(0.002)
+        response = sock.recv(65536)
+    assert _status_line(response) == b"HTTP/1.0 200 OK" and response.endswith(b"\r\n\r\nok")
+
+
+def test_query_string_is_ignored(served):
+    _, _, base = served
+    assert _get(f"{base}/metrics?x=1&y") == _get(f"{base}/metrics")
+    assert _get(f"{base}/v1/workloads/w1?fields=all") == _get(f"{base}/v1/workloads/w1")
+    assert _get(f"{base}/healthz?") == (200, "text/plain; charset=utf-8", "ok")
+
+
+def test_workload_id_is_percent_decoded(tmp_path):
+    ids = ["ns/pod a", "café", "100%"]
+    replay = write_jsonl(tmp_path / "t.jsonl", [record_dict(workload_id=wid) for wid in ids])
+    agent = MetricsAgent(AgentConfig.from_dict(_agent_config_dict(replay)))
+    assert agent.step_once()
+    server = make_server(agent, "127.0.0.1", 0)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    base = f"http://127.0.0.1:{server.server_address[1]}/v1/workloads/"
+    try:
+        for wid in ids:
+            status, _, body = _get(base + urllib.parse.quote(wid, safe=""))
+            assert status == 200 and body == report_to_json(agent.current_snapshot().workload(wid))
+        with pytest.raises(urllib.error.HTTPError) as exc:
+            _get(base + "ns%2Fghost")
+        with exc.value:
+            assert (exc.value.code, exc.value.read()) == (404, b"unknown workload 'ns/ghost'")
+    finally:
+        server.shutdown()
+        server.server_close()
+        agent.stop()
+
+
+def test_silent_client_is_dropped_after_the_timeout(served, monkeypatch):
+    _, port, base = served
+    monkeypatch.setattr(server_module, "CONNECTION_TIMEOUT_S", 0.3)
+    silent = socket.create_connection(("127.0.0.1", port), timeout=5.0)
+    try:
+        time.sleep(0.05)
+        start = time.monotonic()
+        assert _get(f"{base}/healthz", timeout=0.25)[2] == "ok"  # answered while the silent one waits
+        assert silent.recv(1) == b""  # closed without an answer
+        assert 0.2 < time.monotonic() - start < 3.0
+    finally:
+        silent.close()
+    # Every connection thread held by a silent client: the timeout frees them.
+    held = [socket.create_connection(("127.0.0.1", port)) for _ in range(server_module.CONNECTION_THREADS)]
+    try:
+        time.sleep(0.05)
+        assert _get(f"{base}/healthz", timeout=5.0)[2] == "ok"
+    finally:
+        for sock in held:
+            sock.close()
+
+
+def test_render_error_gets_500_and_the_next_scrape_succeeds(served, monkeypatch, caplog):
+    agent, _, base = served
+    render = server_module.render_openmetrics
+    calls = []
+
+    def fails_once(report):
+        calls.append(report)
+        if len(calls) == 1:
+            raise RuntimeError("render broke")
+        return render(report)
+
+    monkeypatch.setattr(server_module, "render_openmetrics", fails_once)
+    with pytest.raises(urllib.error.HTTPError) as exc:
+        _get(f"{base}/metrics")
+    with exc.value:
+        assert (exc.value.code, exc.value.read()) == (500, b"internal server error")
+    assert any("render broke" in record.exc_text for record in caplog.records if record.exc_text)
+    for _ in range(server_module.CONNECTION_THREADS + 1):  # every thread still answers
+        assert _get(f"{base}/metrics")[2] == render(agent.snapshot())
+
+
+def test_scrapes_start_no_threads_and_shutdown_ends_every_one(tmp_path, monkeypatch):
+    agent = MetricsAgent(AgentConfig.from_dict(_agent_config_dict(two_workload_replay(tmp_path / "t.jsonl"))))
+    assert agent.step_once()
+    server = make_server(agent, "127.0.0.1", 0)
+    before = set(threading.enumerate())
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    base = f"http://127.0.0.1:{server.server_address[1]}"
+    try:
+        assert _get(f"{base}/healthz")[2] == "ok"
+        deadline = time.monotonic() + 5.0
+        while len(set(threading.enumerate()) - before) < 1 + server_module.CONNECTION_THREADS:
+            assert time.monotonic() < deadline, "connection threads never started"
+            time.sleep(0.01)
+        serving = threading.active_count()
+        starts = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda self: starts.append(self) or start(self))
+        for _ in range(50):
+            assert _get(f"{base}/metrics")[0] == 200
+        monkeypatch.undo()
+        assert (starts, threading.active_count()) == ([], serving)
+        server.shutdown()
+        thread.join(timeout=1.0)
+        assert not thread.is_alive(), "serve_forever did not return within 1 s of shutdown()"
+        deadline = time.monotonic() + 1.0
+        while set(threading.enumerate()) - before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not set(threading.enumerate()) - before, "connection threads outlived shutdown()"
+    finally:
+        server.server_close()
+        agent.stop()
+
+
+def test_each_request_logs_one_debug_line(served, caplog):
+    _, _, base = served
+    caplog.set_level(logging.DEBUG, logger="buoyancy.server")
+    _get(f"{base}/healthz")
+    lines = [record.getMessage() for record in caplog.records if record.name == "buoyancy.server"]
+    assert lines == ['http: "GET /healthz HTTP/1.1" 200 2']
 
 
 # -------------------------------------------------------------------- config
