@@ -6,7 +6,6 @@ and the mandatory ``# EOF`` trailer.
 """
 
 from operator import attrgetter
-from typing import Iterator
 
 from .engine import NodeReport
 
@@ -41,31 +40,25 @@ def _escape_help(value: str) -> str:
 
 
 def _format_value(value: float) -> str:
+    """A non-finite sample value; finite ones are written with ``repr``."""
     if value != value:
         return "NaN"
-    if value == float("inf"):
-        return "+Inf"
-    if value == float("-inf"):
-        return "-Inf"
-    return repr(value)
+    return "+Inf" if value > 0 else "-Inf"
 
 
-def _family(name: str, help_text: str, samples: list[tuple[str, float]]) -> Iterator[str]:
-    yield f"# HELP {name} {_escape_help(help_text)}"
-    yield f"# TYPE {name} gauge"
-    for labels, value in samples:
-        yield f"{name}{labels} {_format_value(value)}"
+def _family(name: str, help_text: str, labels, values) -> str:
+    """One gauge family as one string: its headers and a sample line per label and value."""
+    samples = "".join(
+        [f"{name}{label}{repr(v) if v - v == 0.0 else _format_value(v)}\n" for label, v in zip(labels, values)]
+    )
+    return f"# HELP {name} {_escape_help(help_text)}\n# TYPE {name} gauge\n{samples}"
 
 
 def render_openmetrics(report: NodeReport) -> str:
     """Render one report snapshot as OpenMetrics text."""
-    labels = [f'{{workload_id="{_escape_label(wr.workload_id)}"}}' for wr in report.workload_reports]
-    lines: list[str] = []
-    for name, path, help_text in _WORKLOAD_METRICS:
-        get = attrgetter(path)
-        samples = [(label, float(get(wr))) for label, wr in zip(labels, report.workload_reports)]
-        lines.extend(_family(name, help_text, samples))
-    for name, path, help_text in _NODE_METRICS:
-        lines.extend(_family(name, help_text, [("", float(attrgetter(path)(report)))]))
-    lines.append("# EOF")
-    return "\n".join(lines) + "\n"
+    reports = report.workload_reports
+    labels = [f'{{workload_id="{_escape_label(wr.workload_id)}"}} ' for wr in reports]
+    families = [_family(name, text, labels, map(attrgetter(path), reports)) for name, path, text in _WORKLOAD_METRICS]
+    families += [_family(name, text, (" ",), (attrgetter(path)(report),)) for name, path, text in _NODE_METRICS]
+    families.append("# EOF\n")
+    return "".join(families)

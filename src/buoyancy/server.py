@@ -9,22 +9,27 @@ a half-written window. Each snapshot renders its ``/metrics`` and
 Endpoints: ``/metrics`` (OpenMetrics text), ``/v1/node`` (JSON report),
 ``/v1/workloads/{id}`` (JSON per-workload report, 404 if unknown; the id is
 percent-decoded), and ``/healthz`` (503 with the error once an error has
-stopped the engine loop). HTTP/1.0 with one GET per connection: each of
-``CONNECTION_THREADS`` threads accepts, reads the head and answers with one
-write of the status line, ``Content-Type``, ``Content-Length`` and body. A
-bad request line gets 400, another method 501, a head over ``MAX_HEAD_BYTES``
-431 and a handler error 500; a query string is ignored, and a connection
-silent for ``CONNECTION_TIMEOUT_S`` is dropped.
+stopped the engine loop). HTTP/1.0 with one GET per connection, served by
+one thread: ``serve_forever`` runs a ``selectors`` loop over the
+non-blocking listener and connections. Each connection is read at once
+after ``accept`` and answered at once when its head is complete (at the
+blank line, past ``MAX_HEAD_BYTES``, or when the client half-closes after
+sending something) with the status line, ``Content-Type``,
+``Content-Length`` and body in one buffer; the loop waits on a socket only
+when a read or a write would block. A bad request line gets 400, another method 501, a head over
+``MAX_HEAD_BYTES`` 431 and a handler error 500; a query string is ignored,
+and a connection that makes no progress for ``CONNECTION_TIMEOUT_S`` is
+closed unanswered.
 """
 
-import contextlib
-import json
 import logging
 import re
+import selectors
 import socket
 import threading
 from datetime import datetime
 from http import HTTPStatus
+from json.encoder import encode_basestring_ascii
 from time import monotonic
 from typing import Optional
 from urllib.parse import unquote
@@ -39,46 +44,44 @@ from .sources import ContentionPlant, PlantSource, ReplaySource
 
 log = logging.getLogger(__name__)
 
-CONNECTION_THREADS = 8
 CONNECTION_TIMEOUT_S = 10.0
 MAX_HEAD_BYTES = 64 * 1024
 _HEAD_END = re.compile(rb"\r?\n\r?\n")
 
 
-def _json_default(value):
-    if isinstance(value, datetime):
-        return value.isoformat()
-    raise TypeError(f"not JSON serializable: {type(value)!r}")
+def _number(value: float) -> str:
+    """A number as ``json.dumps`` writes it, non-finite values included."""
+    if value - value == 0.0:
+        return repr(value)
+    return "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity")
 
 
-def _scores_dict(scores: ResourceScores) -> dict:
-    return {"cpu": scores.cpu, "llc": scores.llc, "mbw": scores.mbw}
+def _instant(value: Optional[datetime]) -> str:
+    return "null" if value is None else f'"{value.isoformat()}"'
 
 
-def _workload_dict(wr: BuoyancyReport) -> dict:
-    return {
-        "workload_id": wr.workload_id,
-        "perf_score": wr.perf_score,
-        "buoyancy": wr.buoyancy,
-        "resource_scores": _scores_dict(wr.resource_scores),
-        "approaching_violation": wr.approaching_violation,
-    }
+def _scores_json(scores: ResourceScores) -> str:
+    return f'{{"cpu": {_number(scores.cpu)}, "llc": {_number(scores.llc)}, "mbw": {_number(scores.mbw)}}}'
 
 
-def _node_dict(report: NodeReport) -> dict:
-    return {
-        "node_resource_scores": _scores_dict(report.node_resource_scores),
-        "node_buoyancy": report.node_buoyancy,
-        "workload_reports": [_workload_dict(wr) for wr in report.workload_reports],
-        "window_start": report.window_start,
-        "window_end": report.window_end,
-    }
+def _workload_json(wr: BuoyancyReport) -> str:
+    return (
+        f'{{"workload_id": {encode_basestring_ascii(wr.workload_id)}, "perf_score": {_number(wr.perf_score)}, '
+        f'"buoyancy": {_number(wr.buoyancy)}, "resource_scores": {_scores_json(wr.resource_scores)}, '
+        f'"approaching_violation": {"true" if wr.approaching_violation else "false"}}}'
+    )
 
 
 def report_to_json(report) -> str:
-    """A ``NodeReport`` or ``BuoyancyReport`` as JSON, keyed by field name in field order."""
-    as_dict = _node_dict if isinstance(report, NodeReport) else _workload_dict
-    return json.dumps(as_dict(report), default=_json_default)
+    """A ``NodeReport`` or ``BuoyancyReport`` as ``json.dumps`` of its fields in field order would write it."""
+    if not isinstance(report, NodeReport):
+        return _workload_json(report)
+    return (
+        f'{{"node_resource_scores": {_scores_json(report.node_resource_scores)}, '
+        f'"node_buoyancy": {_number(report.node_buoyancy)}, '
+        f'"workload_reports": [{", ".join(map(_workload_json, report.workload_reports))}], '
+        f'"window_start": {_instant(report.window_start)}, "window_end": {_instant(report.window_end)}}}'
+    )
 
 
 class Snapshot:
@@ -184,28 +187,58 @@ class MetricsAgent:
 
 
 class _Handler:
-    """One request on one connection, answered with a single write."""
+    """One request on one non-blocking connection: its head as read so far, then its answer."""
 
     request_line = path = ""
 
     def __init__(self, agent: MetricsAgent, conn: socket.socket):
         self.agent, self.conn = agent, conn
+        self.head = bytearray()
+        #: What is left to write, once the answer is built.
+        self.response: Optional[memoryview] = None
+        self.events = 0  # what the selector waits for on this connection; 0 while unregistered
+        self.deadline = monotonic() + CONNECTION_TIMEOUT_S
+
+    def read(self) -> bool:
+        """Read what the socket holds; True once the head is complete or the client stopped sending."""
+        while True:
+            try:
+                chunk = self.conn.recv(16384)
+            except BlockingIOError:
+                return False
+            self.deadline = monotonic() + CONNECTION_TIMEOUT_S
+            if not chunk:
+                return True
+            self.head += chunk  # searched from where the new bytes could complete the blank line
+            if len(self.head) > MAX_HEAD_BYTES or _HEAD_END.search(self.head, len(self.head) - len(chunk) - 3):
+                return True
+
+    def write(self) -> bool:
+        """Write what the socket takes; True once the whole answer is written."""
+        while self.response:
+            try:
+                sent = self.conn.send(self.response)
+            except BlockingIOError:
+                return False
+            self.response = self.response[sent:]
+            self.deadline = monotonic() + CONNECTION_TIMEOUT_S
+        return True
 
     def _send(self, status: int, payload: bytes, content_type: str = "text/plain; charset=utf-8"):
         head = f"HTTP/1.0 {status} {HTTPStatus(status).phrase}\r\nContent-Type: {content_type}\r\n"
         log.debug('http: "%s" %d %d', self.request_line, status, len(payload))
-        self.conn.sendall(f"{head}Content-Length: {len(payload)}\r\n\r\n".encode("latin-1") + payload)
+        self.response = memoryview(f"{head}Content-Length: {len(payload)}\r\n\r\n".encode("latin-1") + payload)
+
+    def respond(self):
+        """Build the answer to the head read; a handler error is logged and answered with 500."""
+        try:
+            self.handle()
+        except Exception:  # the request's boundary: log, answer 500, keep serving
+            log.exception('http: "%s" failed', self.request_line)
+            self._send(500, b"internal server error")
 
     def handle(self):
-        """Read the request head and answer it; a client that sends nothing gets nothing."""
-        head = bytearray()
-        while chunk := self.conn.recv(16384):
-            head += chunk  # searched from where the new bytes could complete the blank line
-            if len(head) > MAX_HEAD_BYTES or _HEAD_END.search(head, len(head) - len(chunk) - 3):
-                break
-        if not head:
-            return
-        head = _HEAD_END.split(head, 1)[0]
+        head = _HEAD_END.split(self.head, 1)[0]
         self.request_line = head.split(b"\n", 1)[0].rstrip(b"\r").decode("latin-1")
         words = self.request_line.split()
         if len(head) > MAX_HEAD_BYTES:
@@ -244,45 +277,100 @@ class _Handler:
 
 
 class HttpServer:
-    """A listener served by ``CONNECTION_THREADS`` threads that each accept and answer."""
+    """A non-blocking listener and its connections, all served by the thread that runs ``serve_forever``."""
 
     def __init__(self, listener: socket.socket, agent: MetricsAgent):
+        listener.setblocking(False)
         self._listener, self._agent = listener, agent
-        self._stop = threading.Event()
+        self._stopping = False
+        self._accept_paused_until: Optional[float] = None
         self.server_address = listener.getsockname()
 
     def serve_forever(self):
-        """Start the connection threads; return once ``shutdown`` is called."""
-        for i in range(CONNECTION_THREADS):
-            threading.Thread(target=self._accept_loop, name=f"http-{i}", daemon=True).start()
-        self._stop.wait()
+        """Serve until ``shutdown`` is called; then close the open connections and return."""
+        with selectors.DefaultSelector() as selector:
+            selector.register(self._listener, selectors.EVENT_READ)
+            try:
+                while not self._stopping:
+                    for key, _ in selector.select(self._timeout(selector)):
+                        if key.data is None:
+                            self._accept(selector)
+                        else:
+                            self._progress(selector, key.data)
+                    self._expire(selector)
+            finally:
+                for key in list(selector.get_map().values()):
+                    if key.data is not None:
+                        key.data.conn.close()
 
     def shutdown(self):
-        """Wake every blocked ``accept()`` (Linux); each thread ends after its current request."""
-        self._stop.set()
+        """Wake ``serve_forever`` by shutting the listener down (Linux); it returns once woken."""
+        self._stopping = True
         self._listener.shutdown(socket.SHUT_RDWR)
 
     def server_close(self):
         self._listener.close()
 
-    def _accept_loop(self):
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                self._stop.wait(0.05)  # shut down, or out of descriptors: retry after a pause
-                continue
-            with conn:
-                conn.settimeout(CONNECTION_TIMEOUT_S)
-                handler = _Handler(self._agent, conn)
-                try:
-                    handler.handle()
-                except OSError as exc:  # the client went silent or away
-                    log.debug("http: connection dropped: %s", exc)
-                except Exception:  # the connection's boundary: log, answer 500, keep the thread
-                    log.exception('http: "%s" failed', handler.request_line)
-                    with contextlib.suppress(OSError):
-                        handler._send(500, b"internal server error")
+    def _timeout(self, selector) -> Optional[float]:
+        """Seconds to the nearest connection deadline or the end of an accept pause; None for neither."""
+        deadlines = [key.data.deadline for key in selector.get_map().values() if key.data is not None]
+        if self._accept_paused_until is not None:
+            deadlines.append(self._accept_paused_until)
+        return max(0.0, min(deadlines) - monotonic()) if deadlines else None
+
+    def _expire(self, selector):
+        now = monotonic()
+        if self._accept_paused_until is not None and now >= self._accept_paused_until:
+            self._accept_paused_until = None
+            selector.register(self._listener, selectors.EVENT_READ)
+        for key in list(selector.get_map().values()):
+            if key.data is not None and key.data.deadline <= now:
+                log.debug("http: connection dropped: no progress for %s s", CONNECTION_TIMEOUT_S)
+                self._close(selector, key.data)
+
+    def _accept(self, selector):
+        try:
+            conn, _ = self._listener.accept()
+        except BlockingIOError:  # another event took the connection, or the client reset it
+            return
+        except OSError as exc:  # shut down, or out of descriptors: stop accepting for a pause
+            if not self._stopping:
+                log.debug("http: accept failed: %s", exc)
+                selector.unregister(self._listener)
+                self._accept_paused_until = monotonic() + 0.05
+            return
+        conn.setblocking(False)
+        self._progress(selector, _Handler(self._agent, conn))
+
+    def _progress(self, selector, handler: _Handler):
+        """Take one connection as far as its socket allows now: read, answer, write, close."""
+        try:
+            if handler.response is None:
+                if not handler.read():
+                    return self._wait(selector, handler, selectors.EVENT_READ)
+                if not handler.head:  # the client closed without a request
+                    return self._close(selector, handler)
+                handler.respond()
+            if not handler.write():
+                return self._wait(selector, handler, selectors.EVENT_WRITE)
+        except OSError as exc:  # the client went away
+            log.debug("http: connection dropped: %s", exc)
+        self._close(selector, handler)
+
+    @staticmethod
+    def _wait(selector, handler: _Handler, events: int):
+        if handler.events == 0:
+            selector.register(handler.conn, events, handler)
+        elif handler.events != events:
+            selector.modify(handler.conn, events, handler)
+        handler.events = events
+
+    @staticmethod
+    def _close(selector, handler: _Handler):
+        if handler.events:
+            selector.unregister(handler.conn)
+            handler.events = 0
+        handler.conn.close()
 
 
 def make_server(agent: MetricsAgent, host: str, port: int) -> HttpServer:

@@ -7,18 +7,23 @@ engine step and the plant step are the earlier implementations that the
 faster ones replaced, kept as bit-parity references. The per-resource
 score functions and the n-point power-law fit are the plain forms of the
 rules that ``score_workload`` and ``fit_mrc`` run: the same arithmetic in
-the same order, so their results must agree to the bit.
+the same order, so their results must agree to the bit. The line-list
+OpenMetrics renderer is the one that ``render_openmetrics`` replaced, and ``_json_default`` is the ``datetime`` hook of the
+``dataclasses.asdict`` reference that ``report_to_json`` must match byte
+for byte.
 """
 
 import logging
 import math
 from datetime import datetime, timedelta, timezone
+from operator import attrgetter
 
 import numpy as np
 
 from buoyancy.controller import MODE_LATENCY, ExtremumSeeker
 from buoyancy.engine import NodeReport, _WorkloadState, node_buoyancy, perf_score
 from buoyancy.errors import BuoyancyError, EmptyNode, SchemaError
+from buoyancy.exposition import _NODE_METRICS, _WORKLOAD_METRICS, _escape_help, _escape_label
 from buoyancy.model import BuoyancyReport, ResourceScores, TelemetrySample, llc_way_size, theoretical_max_mbw
 from buoyancy.scores import MrcFit, score_workload
 from buoyancy.sources import _SCHEMA, REFS_PER_REQUEST
@@ -415,3 +420,40 @@ class SeekerReference(ExtremumSeeker):
         self._phase_index = 0
         self._demod_sum = 0.0
         self._error_sum = 0.0
+
+
+def _json_default(value):
+    if isinstance(value, datetime):
+        return value.isoformat()
+    raise TypeError(f"not JSON serializable: {type(value)!r}")
+
+
+def _format_value_reference(value):
+    if value != value:
+        return "NaN"
+    if value == float("inf"):
+        return "+Inf"
+    if value == float("-inf"):
+        return "-Inf"
+    return repr(value)
+
+
+def _family_reference(name, help_text, samples):
+    yield f"# HELP {name} {_escape_help(help_text)}"
+    yield f"# TYPE {name} gauge"
+    for labels, value in samples:
+        yield f"{name}{labels} {_format_value_reference(value)}"
+
+
+def render_openmetrics_reference(report):
+    """The line-list renderer that ``render_openmetrics`` replaced."""
+    labels = [f'{{workload_id="{_escape_label(wr.workload_id)}"}}' for wr in report.workload_reports]
+    lines = []
+    for name, path, help_text in _WORKLOAD_METRICS:
+        get = attrgetter(path)
+        samples = [(label, float(get(wr))) for label, wr in zip(labels, report.workload_reports)]
+        lines.extend(_family_reference(name, help_text, samples))
+    for name, path, help_text in _NODE_METRICS:
+        lines.extend(_family_reference(name, help_text, [("", float(attrgetter(path)(report)))]))
+    lines.append("# EOF")
+    return "\n".join(lines) + "\n"

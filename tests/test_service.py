@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import logging
 import math
@@ -18,10 +19,11 @@ from hypothesis import strategies as st
 from buoyancy import BuoyancyReport, ContentionPlant, Engine, NodeReport, ResourceScores, SchemaError, SloSpec
 from buoyancy import server as server_module
 from buoyancy.exposition import CONTENT_TYPE, METRIC_NAMES, render_openmetrics
-from buoyancy.server import AgentConfig, MetricsAgent, _json_default, make_server, report_to_json
+from buoyancy.server import AgentConfig, MetricsAgent, make_server, report_to_json
 from buoyancy.errors import BindError, ConfigError, EmptyNode
 
 from . import openmetrics
+from .oracles import _json_default, render_openmetrics_reference
 from .conftest import EPOCH, TABLE_TOPO, make_sample, no_unclosed_file, record_dict, two_workload_replay, write_jsonl
 
 
@@ -168,6 +170,26 @@ def test_exposition_writes_non_finite_values():
 @pytest.mark.parametrize("report", JSON_REPORTS)
 def test_report_to_json_matches_asdict(report):
     # dataclasses.asdict is the reference that report_to_json replaced.
+    assert report_to_json(report) == json.dumps(dataclasses.asdict(report), default=_json_default)
+
+
+#: Every float, NaN and both infinities included, in every numeric field of a report.
+_ANY_FLOAT = st.floats()
+_ANY_SCORES = st.builds(ResourceScores, _ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT)
+#: Ids built from the characters each format escapes, plus any other text.
+_ANY_ID = st.text(st.sampled_from('\\"\n/ a\u00e9\u2603\U0001f600') | st.characters(), min_size=1, max_size=8)
+_ANY_WORKLOAD = st.builds(BuoyancyReport, _ANY_ID, _ANY_FLOAT, _ANY_FLOAT, _ANY_SCORES, st.booleans())
+_ANY_INSTANT = st.none() | st.datetimes(timezones=st.sampled_from([None, timezone.utc, timezone(-_SECOND * 19800)]))
+_ANY_NODE = st.builds(NodeReport, _ANY_SCORES, _ANY_FLOAT, st.lists(_ANY_WORKLOAD, max_size=4), _ANY_INSTANT, _ANY_INSTANT)
+
+
+@given(_ANY_NODE)
+def test_render_matches_its_reference(report):
+    assert render_openmetrics(report) == render_openmetrics_reference(report)
+
+
+@given(_ANY_NODE | _ANY_WORKLOAD)
+def test_report_to_json_matches_asdict_for_any_report(report):
     assert report_to_json(report) == json.dumps(dataclasses.asdict(report), default=_json_default)
 
 
@@ -635,8 +657,8 @@ def test_silent_client_is_dropped_after_the_timeout(served, monkeypatch):
         assert 0.2 < time.monotonic() - start < 3.0
     finally:
         silent.close()
-    # Every connection thread held by a silent client: the timeout frees them.
-    held = [socket.create_connection(("127.0.0.1", port)) for _ in range(server_module.CONNECTION_THREADS)]
+    # Many silent clients at once: the loop answers past them, and the timeout frees them.
+    held = [socket.create_connection(("127.0.0.1", port)) for _ in range(64)]
     try:
         time.sleep(0.05)
         assert _get(f"{base}/healthz", timeout=5.0)[2] == "ok"
@@ -662,7 +684,7 @@ def test_render_error_gets_500_and_the_next_scrape_succeeds(served, monkeypatch,
     with exc.value:
         assert (exc.value.code, exc.value.read()) == (500, b"internal server error")
     assert any("render broke" in record.exc_text for record in caplog.records if record.exc_text)
-    for _ in range(server_module.CONNECTION_THREADS + 1):  # every thread still answers
+    for _ in range(9):  # the loop still answers
         assert _get(f"{base}/metrics")[2] == render(agent.snapshot())
 
 
@@ -676,10 +698,7 @@ def test_scrapes_start_no_threads_and_shutdown_ends_every_one(tmp_path, monkeypa
     base = f"http://127.0.0.1:{server.server_address[1]}"
     try:
         assert _get(f"{base}/healthz")[2] == "ok"
-        deadline = time.monotonic() + 5.0
-        while len(set(threading.enumerate()) - before) < 1 + server_module.CONNECTION_THREADS:
-            assert time.monotonic() < deadline, "connection threads never started"
-            time.sleep(0.01)
+        assert set(threading.enumerate()) - before == {thread}, "serving started a thread besides serve_forever's"
         serving = threading.active_count()
         starts = []
         start = threading.Thread.start
@@ -694,7 +713,7 @@ def test_scrapes_start_no_threads_and_shutdown_ends_every_one(tmp_path, monkeypa
         deadline = time.monotonic() + 1.0
         while set(threading.enumerate()) - before and time.monotonic() < deadline:
             time.sleep(0.01)
-        assert not set(threading.enumerate()) - before, "connection threads outlived shutdown()"
+        assert not set(threading.enumerate()) - before, "a serving thread outlived shutdown()"
     finally:
         server.server_close()
         agent.stop()
@@ -778,3 +797,97 @@ def test_plant_agent_runs_at_its_configured_interference():
         assert repr(agent.snapshot()) == repr(want)
         node_buoyancy[level] = agent.snapshot().node_buoyancy
     assert node_buoyancy[0.5] < node_buoyancy[0.0]
+
+
+def _request_1k_metrics(port):
+    """A connection that asks for ``/metrics`` and reads nothing yet, with a 4 KiB receive buffer."""
+    sock = socket.socket()
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)  # set before connecting, so the window stays small
+    sock.settimeout(5.0)
+    sock.connect(("127.0.0.1", port))
+    sock.sendall(b"GET /metrics HTTP/1.0\r\n\r\n")
+    return sock
+
+
+@pytest.fixture
+def served_1k(tmp_path, monkeypatch):
+    """A listener over a 1k-workload snapshot whose /metrics body takes many writes; records each write's outcome."""
+    ids = [f"ns/pod-{i}" for i in range(1000)]
+    agent = MetricsAgent(AgentConfig.from_dict(_agent_config_dict(write_jsonl(tmp_path / "t.jsonl", map(record_dict, ids)))))
+    assert agent.step_once()
+    writes = []
+    write = server_module._Handler.write
+    monkeypatch.setattr(server_module._Handler, "write", lambda self: writes.append(write(self)) or writes[-1])
+    server = make_server(agent, "127.0.0.1", 0)
+    # Loopback send buffers grow to megabytes; a small one, which connections inherit, keeps the write partial.
+    server._listener.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield agent, server.server_address[1], thread, writes
+    finally:
+        server.shutdown()
+        server.server_close()
+        agent.stop()
+
+
+def test_slow_reader_does_not_stall_other_scrapes(served_1k):
+    agent, port, _, writes = served_1k
+    with _request_1k_metrics(port) as slow:
+        time.sleep(0.2)  # the loop answers and fills the socket buffers
+        assert False in writes, "the /metrics answer was written whole at once"
+        assert _get(f"http://127.0.0.1:{port}/healthz", timeout=2.0)[2] == "ok"
+        chunks = []
+        while chunk := slow.recv(4096):
+            chunks.append(chunk)
+    body = agent.current_snapshot().metrics_body()
+    head = f"HTTP/1.0 200 OK\r\nContent-Type: {CONTENT_TYPE}\r\nContent-Length: {len(body)}\r\n\r\n"
+    assert b"".join(chunks) == head.encode("latin-1") + body
+
+
+def test_client_that_closes_mid_body_does_not_stop_the_loop(served_1k, caplog):
+    caplog.set_level(logging.DEBUG, logger="buoyancy.server")
+    agent, port, thread, writes = served_1k
+    with _request_1k_metrics(port) as gone:
+        time.sleep(0.2)
+        assert False in writes
+        assert gone.recv(4096).startswith(b"HTTP/1.0 200 OK\r\n")
+    # The close with unread bytes resets the connection, so the loop's next write fails.
+    for _ in range(3):
+        assert _get(f"http://127.0.0.1:{port}/metrics")[2] == agent.current_snapshot().metrics_body().decode()
+    assert thread.is_alive()
+    assert any(r.getMessage().startswith("http: connection dropped: [Errno") for r in caplog.records)
+
+
+@pytest.mark.parametrize(
+    "sent,expected",
+    [
+        (b"GET /healthz HTTP/1.0\r\n", b"HTTP/1.0 200 OK\r\nContent-Type: text/plain; charset=utf-8\r\nContent-Length: 2\r\n\r\nok"),
+        (b"", b""),
+    ],
+    ids=["request-line-only", "nothing"],
+)
+def test_client_that_half_closes_gets_an_answer_to_what_it_sent(served, sent, expected):
+    _, port, _ = served
+    with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
+        sock.sendall(sent)
+        sock.shutdown(socket.SHUT_WR)  # no blank line ends the head: the half-close does
+        response = b"".join(iter(lambda: sock.recv(65536), b""))
+    assert response == expected
+
+
+def test_accept_failure_pauses_accepting_then_recovers(served, monkeypatch):
+    _, _, base = served
+    accept = socket.socket.accept
+    calls = []
+    until = time.monotonic() + 0.2
+
+    def out_of_descriptors_for_a_while(sock):
+        calls.append(sock)
+        if time.monotonic() < until:
+            raise OSError(errno.EMFILE, "Too many open files")
+        return accept(sock)
+
+    monkeypatch.setattr(socket.socket, "accept", out_of_descriptors_for_a_while)
+    assert _get(f"{base}/healthz")[2] == "ok"
+    assert 2 <= len(calls) <= 8  # a pause after each failure, not a retry on a listener that stays readable
