@@ -23,7 +23,8 @@ from . import analysis, controller
 from .config import AgentConfig, build, plant_config_from_dict, read_json
 from .errors import BuoyancyError, CapacityExceeded, ConfigError
 from .engine import DEFAULT_ALPHA
-from .server import MetricsAgent, make_server, report_to_json
+from .httpd import make_server
+from .server import MetricsAgent, report_to_json
 from .sources import Allocation
 
 log = logging.getLogger(__name__)

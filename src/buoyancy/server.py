@@ -9,23 +9,16 @@ a half-written window. Each snapshot renders its ``/metrics`` and
 Endpoints: ``/metrics`` (OpenMetrics text), ``/v1/node`` (JSON report),
 ``/v1/workloads/{id}`` (JSON per-workload report, 404 if unknown; the id is
 percent-decoded), and ``/healthz`` (503 with the error once an error has
-stopped the engine loop). HTTP/1.0 with one GET per connection, served by
-one thread: ``serve_forever`` runs a ``selectors`` loop over the
-non-blocking listener and connections. Each connection is read at once
-after ``accept`` and answered at once when its head is complete (at the
-blank line, past ``MAX_HEAD_BYTES``, or when the client half-closes after
-sending something) with the status line, ``Content-Type``,
-``Content-Length`` and body in one buffer; the loop waits on a socket only
-when a read or a write would block. A bad request line gets 400, another method 501, a head over
-``MAX_HEAD_BYTES`` 431 and a handler error 500; a query string is ignored,
-and a connection that makes no progress for ``CONNECTION_TIMEOUT_S`` is
-closed unanswered.
+stopped the engine loop). ``_Handler`` turns one request head into the
+bytes of one HTTP/1.0 answer: status line, ``Content-Type``,
+``Content-Length`` and body. A bad request line gets 400, another method
+501, a head over ``MAX_HEAD_BYTES`` 431 and a handler error 500; a query
+string is ignored. ``buoyancy.httpd`` moves those bytes over sockets, so
+a process that only steps the engine does not load it.
 """
 
 import logging
 import re
-import selectors
-import socket
 import threading
 from datetime import datetime
 from http import HTTPStatus
@@ -37,14 +30,12 @@ from urllib.parse import unquote
 # Re-exported for callers written before buoyancy.config existed.
 from .config import AgentConfig, plant_config_from_dict  # noqa: F401
 from .engine import NodeReport
-from .errors import BindError
 from .exposition import CONTENT_TYPE, render_openmetrics
 from .model import BuoyancyReport, ResourceScores
 from .sources import ContentionPlant, PlantSource, ReplaySource
 
 log = logging.getLogger(__name__)
 
-CONNECTION_TIMEOUT_S = 10.0
 MAX_HEAD_BYTES = 64 * 1024
 _HEAD_END = re.compile(rb"\r?\n\r?\n")
 
@@ -187,69 +178,38 @@ class MetricsAgent:
 
 
 class _Handler:
-    """One request on one non-blocking connection: its head as read so far, then its answer."""
+    """The answer to one request head, as the bytes of one HTTP/1.0 response."""
 
     request_line = path = ""
 
-    def __init__(self, agent: MetricsAgent, conn: socket.socket):
-        self.agent, self.conn = agent, conn
-        self.head = bytearray()
-        #: What is left to write, once the answer is built.
-        self.response: Optional[memoryview] = None
-        self.events = 0  # what the selector waits for on this connection; 0 while unregistered
-        self.deadline = monotonic() + CONNECTION_TIMEOUT_S
-
-    def read(self) -> bool:
-        """Read what the socket holds; True once the head is complete or the client stopped sending."""
-        while True:
-            try:
-                chunk = self.conn.recv(16384)
-            except BlockingIOError:
-                return False
-            self.deadline = monotonic() + CONNECTION_TIMEOUT_S
-            if not chunk:
-                return True
-            self.head += chunk  # searched from where the new bytes could complete the blank line
-            if len(self.head) > MAX_HEAD_BYTES or _HEAD_END.search(self.head, len(self.head) - len(chunk) - 3):
-                return True
-
-    def write(self) -> bool:
-        """Write what the socket takes; True once the whole answer is written."""
-        while self.response:
-            try:
-                sent = self.conn.send(self.response)
-            except BlockingIOError:
-                return False
-            self.response = self.response[sent:]
-            self.deadline = monotonic() + CONNECTION_TIMEOUT_S
-        return True
+    def __init__(self, agent: MetricsAgent):
+        self.agent = agent
+        self.response = b""
 
     def _send(self, status: int, payload: bytes, content_type: str = "text/plain; charset=utf-8"):
         head = f"HTTP/1.0 {status} {HTTPStatus(status).phrase}\r\nContent-Type: {content_type}\r\n"
         log.debug('http: "%s" %d %d', self.request_line, status, len(payload))
-        self.response = memoryview(f"{head}Content-Length: {len(payload)}\r\n\r\n".encode("latin-1") + payload)
+        self.response = f"{head}Content-Length: {len(payload)}\r\n\r\n".encode("latin-1") + payload
 
-    def respond(self):
-        """Build the answer to the head read; a handler error is logged and answered with 500."""
+    def respond(self, head: bytes) -> bytes:
+        """The response to ``head``; a handler error is logged and answered with 500."""
         try:
-            self.handle()
+            head = _HEAD_END.split(head, 1)[0]
+            self.request_line = head.split(b"\n", 1)[0].rstrip(b"\r").decode("latin-1")
+            words = self.request_line.split()
+            if len(head) > MAX_HEAD_BYTES:
+                self._send(431, b"request head too large")
+            elif len(words) != 3 or not words[2].startswith("HTTP/"):
+                self._send(400, b"bad request line")
+            elif words[0] != "GET":
+                self._send(501, b"" if words[0] == "HEAD" else f"unsupported method {words[0]!r}".encode("latin-1"))
+            else:
+                self.path = words[1]
+                self.do_GET()
         except Exception:  # the request's boundary: log, answer 500, keep serving
             log.exception('http: "%s" failed', self.request_line)
             self._send(500, b"internal server error")
-
-    def handle(self):
-        head = _HEAD_END.split(self.head, 1)[0]
-        self.request_line = head.split(b"\n", 1)[0].rstrip(b"\r").decode("latin-1")
-        words = self.request_line.split()
-        if len(head) > MAX_HEAD_BYTES:
-            self._send(431, b"request head too large")
-        elif len(words) != 3 or not words[2].startswith("HTTP/"):
-            self._send(400, b"bad request line")
-        elif words[0] != "GET":
-            self._send(501, b"" if words[0] == "HEAD" else f"unsupported method {words[0]!r}".encode("latin-1"))
-        else:
-            self.path = words[1]
-            self.do_GET()
+        return self.response
 
     def do_GET(self):  # noqa: N802 (looked up on the class per request, so it can be wrapped)
         path = self.path.split("?", 1)[0]
@@ -274,109 +234,3 @@ class _Handler:
                 self._send(404, f"unknown workload {wid!r}".encode("utf-8"))
             else:
                 self._send(200, report_to_json(wr).encode("utf-8"), content_type="application/json")
-
-
-class HttpServer:
-    """A non-blocking listener and its connections, all served by the thread that runs ``serve_forever``."""
-
-    def __init__(self, listener: socket.socket, agent: MetricsAgent):
-        listener.setblocking(False)
-        self._listener, self._agent = listener, agent
-        self._stopping = False
-        self._accept_paused_until: Optional[float] = None
-        self.server_address = listener.getsockname()
-
-    def serve_forever(self):
-        """Serve until ``shutdown`` is called; then close the open connections and return."""
-        with selectors.DefaultSelector() as selector:
-            selector.register(self._listener, selectors.EVENT_READ)
-            try:
-                while not self._stopping:
-                    for key, _ in selector.select(self._timeout(selector)):
-                        if key.data is None:
-                            self._accept(selector)
-                        else:
-                            self._progress(selector, key.data)
-                    self._expire(selector)
-            finally:
-                for key in list(selector.get_map().values()):
-                    if key.data is not None:
-                        key.data.conn.close()
-
-    def shutdown(self):
-        """Wake ``serve_forever`` by shutting the listener down (Linux); it returns once woken."""
-        self._stopping = True
-        self._listener.shutdown(socket.SHUT_RDWR)
-
-    def server_close(self):
-        self._listener.close()
-
-    def _timeout(self, selector) -> Optional[float]:
-        """Seconds to the nearest connection deadline or the end of an accept pause; None for neither."""
-        deadlines = [key.data.deadline for key in selector.get_map().values() if key.data is not None]
-        if self._accept_paused_until is not None:
-            deadlines.append(self._accept_paused_until)
-        return max(0.0, min(deadlines) - monotonic()) if deadlines else None
-
-    def _expire(self, selector):
-        now = monotonic()
-        if self._accept_paused_until is not None and now >= self._accept_paused_until:
-            self._accept_paused_until = None
-            selector.register(self._listener, selectors.EVENT_READ)
-        for key in list(selector.get_map().values()):
-            if key.data is not None and key.data.deadline <= now:
-                log.debug("http: connection dropped: no progress for %s s", CONNECTION_TIMEOUT_S)
-                self._close(selector, key.data)
-
-    def _accept(self, selector):
-        try:
-            conn, _ = self._listener.accept()
-        except BlockingIOError:  # another event took the connection, or the client reset it
-            return
-        except OSError as exc:  # shut down, or out of descriptors: stop accepting for a pause
-            if not self._stopping:
-                log.debug("http: accept failed: %s", exc)
-                selector.unregister(self._listener)
-                self._accept_paused_until = monotonic() + 0.05
-            return
-        conn.setblocking(False)
-        self._progress(selector, _Handler(self._agent, conn))
-
-    def _progress(self, selector, handler: _Handler):
-        """Take one connection as far as its socket allows now: read, answer, write, close."""
-        try:
-            if handler.response is None:
-                if not handler.read():
-                    return self._wait(selector, handler, selectors.EVENT_READ)
-                if not handler.head:  # the client closed without a request
-                    return self._close(selector, handler)
-                handler.respond()
-            if not handler.write():
-                return self._wait(selector, handler, selectors.EVENT_WRITE)
-        except OSError as exc:  # the client went away
-            log.debug("http: connection dropped: %s", exc)
-        self._close(selector, handler)
-
-    @staticmethod
-    def _wait(selector, handler: _Handler, events: int):
-        if handler.events == 0:
-            selector.register(handler.conn, events, handler)
-        elif handler.events != events:
-            selector.modify(handler.conn, events, handler)
-        handler.events = events
-
-    @staticmethod
-    def _close(selector, handler: _Handler):
-        if handler.events:
-            selector.unregister(handler.conn)
-            handler.events = 0
-        handler.conn.close()
-
-
-def make_server(agent: MetricsAgent, host: str, port: int) -> HttpServer:
-    """Bind the HTTP listener; raises BindError if the address is taken."""
-    try:
-        listener = socket.create_server((host, port))
-    except OSError as exc:
-        raise BindError(f"cannot bind {host}:{port}: {exc}") from None
-    return HttpServer(listener, agent)

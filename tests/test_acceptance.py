@@ -33,7 +33,8 @@ from buoyancy.controller import (
     InterferenceSchedule,
     run_experiment,
 )
-from buoyancy.server import AgentConfig, MetricsAgent, make_server
+from buoyancy.httpd import make_server
+from buoyancy.server import AgentConfig, MetricsAgent
 from buoyancy.sources import PlantConfig, PlantWorkload
 
 from . import openmetrics

@@ -17,9 +17,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from buoyancy import BuoyancyReport, ContentionPlant, Engine, NodeReport, ResourceScores, SchemaError, SloSpec
-from buoyancy import server as server_module
+from buoyancy import httpd, server as server_module
 from buoyancy.exposition import CONTENT_TYPE, METRIC_NAMES, render_openmetrics
-from buoyancy.server import AgentConfig, MetricsAgent, make_server, report_to_json
+from buoyancy.httpd import make_server
+from buoyancy.server import AgentConfig, MetricsAgent, report_to_json
 from buoyancy.errors import BindError, ConfigError, EmptyNode
 
 from . import openmetrics
@@ -647,7 +648,7 @@ def test_workload_id_is_percent_decoded(tmp_path):
 
 def test_silent_client_is_dropped_after_the_timeout(served, monkeypatch):
     _, port, base = served
-    monkeypatch.setattr(server_module, "CONNECTION_TIMEOUT_S", 0.3)
+    monkeypatch.setattr(httpd, "CONNECTION_TIMEOUT_S", 0.3)
     silent = socket.create_connection(("127.0.0.1", port), timeout=5.0)
     try:
         time.sleep(0.05)
@@ -816,8 +817,8 @@ def served_1k(tmp_path, monkeypatch):
     agent = MetricsAgent(AgentConfig.from_dict(_agent_config_dict(write_jsonl(tmp_path / "t.jsonl", map(record_dict, ids)))))
     assert agent.step_once()
     writes = []
-    write = server_module._Handler.write
-    monkeypatch.setattr(server_module._Handler, "write", lambda self: writes.append(write(self)) or writes[-1])
+    write = httpd._Connection.write
+    monkeypatch.setattr(httpd._Connection, "write", lambda self: writes.append(write(self)) or writes[-1])
     server = make_server(agent, "127.0.0.1", 0)
     # Loopback send buffers grow to megabytes; a small one, which connections inherit, keeps the write partial.
     server._listener.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
@@ -846,7 +847,7 @@ def test_slow_reader_does_not_stall_other_scrapes(served_1k):
 
 
 def test_client_that_closes_mid_body_does_not_stop_the_loop(served_1k, caplog):
-    caplog.set_level(logging.DEBUG, logger="buoyancy.server")
+    caplog.set_level(logging.DEBUG, logger="buoyancy.httpd")
     agent, port, thread, writes = served_1k
     with _request_1k_metrics(port) as gone:
         time.sleep(0.2)
