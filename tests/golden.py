@@ -92,7 +92,8 @@ def _agent_plant_bodies(interference: float) -> tuple[bytes, bytes]:
     agent = MetricsAgent(AgentConfig.from_dict(config))
     metrics, node = [], []
     for _ in range(20):
-        assert agent.step_once()
+        if not agent.step_once():
+            raise RuntimeError("configs/agent_plant.json ended before 20 windows")
         snapshot = agent.current_snapshot()
         metrics.append(snapshot.metrics_body())
         node.append(snapshot.node_body())
