@@ -832,11 +832,18 @@ def served_1k(tmp_path, monkeypatch):
         agent.stop()
 
 
+def _wait_for_a_partial_write(writes, timeout=5.0):
+    """Until the loop has written part of an answer and is waiting to write the rest."""
+    deadline = time.monotonic() + timeout
+    while False not in writes:
+        assert time.monotonic() < deadline, "the /metrics answer was written whole at once"
+        time.sleep(0.01)
+
+
 def test_slow_reader_does_not_stall_other_scrapes(served_1k):
     agent, port, _, writes = served_1k
     with _request_1k_metrics(port) as slow:
-        time.sleep(0.2)  # the loop answers and fills the socket buffers
-        assert False in writes, "the /metrics answer was written whole at once"
+        _wait_for_a_partial_write(writes)
         assert _get(f"http://127.0.0.1:{port}/healthz", timeout=2.0)[2] == "ok"
         chunks = []
         while chunk := slow.recv(4096):
@@ -850,8 +857,7 @@ def test_client_that_closes_mid_body_does_not_stop_the_loop(served_1k, caplog):
     caplog.set_level(logging.DEBUG, logger="buoyancy.httpd")
     agent, port, thread, writes = served_1k
     with _request_1k_metrics(port) as gone:
-        time.sleep(0.2)
-        assert False in writes
+        _wait_for_a_partial_write(writes)
         assert gone.recv(4096).startswith(b"HTTP/1.0 200 OK\r\n")
     # The close with unread bytes resets the connection, so the loop's next write fails.
     for _ in range(3):
