@@ -7,6 +7,10 @@ Subcommands:
 * ``surface``        dump the buoyancy (P, r) surface as CSV
 * ``controller-sim`` closed-loop extremum-seeking run against the plant
 
+``serve`` serves HTTP on the thread that runs it and steps the engine on
+one more; SIGINT, SIGTERM and an error that ends the engine loop each
+stop serving at once. Each command loads only the modules it runs.
+
 Exit codes: 0 clean, 1 configuration error, 2 runtime error.
 """
 
@@ -14,16 +18,11 @@ import argparse
 import json
 import logging
 import signal
-import statistics
 import sys
-import threading
-import time
 
-from . import analysis, controller
 from .config import AgentConfig, build, plant_config_from_dict, read_json
 from .errors import BuoyancyError, CapacityExceeded, ConfigError
 from .engine import DEFAULT_ALPHA
-from .httpd import make_server
 from .server import MetricsAgent, report_to_json
 from .sources import Allocation
 
@@ -49,20 +48,18 @@ def _write_out(text: str, out_path, mode: str = "w"):
 
 
 def cmd_serve(args) -> int:
+    # Each command imports the modules only it runs: serve loads no analysis stack, the others no sockets.
+    from .httpd import make_server
+
     config = AgentConfig.from_file(args.config)
     host, port = _parse_listen(args.listen)
     agent = MetricsAgent(config)
     server = make_server(agent, host, port)
-    # The handler only appends: taking a lock there could deadlock this thread.
-    signals = []
-    signal.signal(signal.SIGINT, lambda signum, frame: signals.append(signum))
-    signal.signal(signal.SIGTERM, lambda signum, frame: signals.append(signum))
-    agent.start()
-    threading.Thread(target=server.serve_forever, name="http", daemon=True).start()
+    signal.signal(signal.SIGINT, lambda signum, frame: server.shutdown())
+    signal.signal(signal.SIGTERM, lambda signum, frame: server.shutdown())
+    agent.start(on_error=server.shutdown)  # a normal end of the replay keeps serving
     log.info("listening on %s:%s", *server.server_address[:2])
-    while not signals and agent.error is None:  # a normal end of the replay keeps serving
-        time.sleep(0.1)
-    server.shutdown()
+    server.serve_forever()
     agent.stop()
     server.server_close()
     if agent.error is not None:
@@ -74,6 +71,8 @@ def cmd_serve(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from . import analysis
+
     if args.input.endswith(".jsonl"):
         if not args.slo:
             raise ConfigError("replay analysis needs --slo CONFIG for SLOs and topology")
@@ -99,6 +98,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_surface(args) -> int:
+    from . import analysis
+
     try:
         points = analysis.surface_points(alpha=args.alpha, step=args.step)
     except ValueError as exc:
@@ -108,6 +109,10 @@ def cmd_surface(args) -> int:
 
 
 def cmd_controller_sim(args) -> int:
+    import statistics
+
+    from . import analysis, controller
+
     plant_config = plant_config_from_dict(read_json(args.plant, "plant config"))
     ctrl_config, experiment = controller.controller_config_from_dict(
         read_json(args.ctrl, "controller config")

@@ -1,7 +1,9 @@
 """The agent's HTTP front end: one thread serves every connection.
 
 ``serve_forever`` runs a ``selectors`` loop over the non-blocking listener
-and its connections, in the thread that calls it. A connection is read at
+and its connections, in the thread that calls it: for ``serve``, the main
+thread. ``shutdown`` takes no lock, so a signal handler or the engine
+thread may call it, and the loop returns at once. A connection is read at
 once after ``accept`` and answered at once when its head is complete: at
 the blank line, past ``server.MAX_HEAD_BYTES``, or when the client
 half-closes after sending something. ``server._Handler`` builds the answer
@@ -88,9 +90,15 @@ class HttpServer:
                         key.data.conn.close()
 
     def shutdown(self):
-        """Wake ``serve_forever`` by shutting the listener down (Linux); it returns once woken."""
+        """Wake ``serve_forever`` by shutting the listener down (Linux); it returns once woken.
+
+        A second call, or one after ``server_close``, only sets the flag again.
+        """
         self._stopping = True
-        self._listener.shutdown(socket.SHUT_RDWR)
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:  # already shut down or closed
+            pass
 
     def server_close(self):
         self._listener.close()

@@ -1,10 +1,12 @@
 """The node agent: engine loop plus HTTP endpoints.
 
 One thread runs the engine at the configured window cadence and swaps a
-complete, immutable report snapshot into place after every step. HTTP
-handlers only ever read one snapshot reference, so scrapes never observe
-a half-written window. Each snapshot renders its ``/metrics`` and
-``/v1/node`` bodies on first read and shares them with later readers.
+complete, immutable report snapshot into place after every step. An error
+that ends its loop calls the hook given to ``MetricsAgent.start``, which
+``serve`` uses to stop serving. HTTP handlers only ever read one snapshot
+reference, so scrapes never observe a half-written window. Each snapshot
+renders its ``/metrics`` and ``/v1/node`` bodies on first read and shares
+them with later readers.
 
 Endpoints: ``/metrics`` (OpenMetrics text), ``/v1/node`` (JSON report),
 ``/v1/workloads/{id}`` (JSON per-workload report, 404 if unknown; the id is
@@ -24,7 +26,7 @@ from datetime import datetime
 from http import HTTPStatus
 from json.encoder import encode_basestring_ascii
 from time import monotonic
-from typing import Optional
+from typing import Callable, Optional
 from urllib.parse import unquote
 
 # Re-exported for callers written before buoyancy.config existed.
@@ -143,12 +145,12 @@ class MetricsAgent:
         self._snapshot = Snapshot(self.engine.step(batch))
         return True
 
-    def _run(self):
+    def _run(self, on_error: Optional[Callable[[], None]] = None):
         """Step once per ``window_s`` on monotonic deadlines until stopped or the source ends.
 
         A step that overruns its window moves the next deadline to now
-        instead of queueing the missed ones. An error ends the loop and is
-        kept in ``error``, which ``/healthz`` reports.
+        instead of queueing the missed ones. An error ends the loop, is kept
+        in ``error``, which ``/healthz`` reports, and then calls ``on_error``.
         """
         period = self.config.window_s
         deadline = monotonic()
@@ -163,9 +165,11 @@ class MetricsAgent:
         except Exception as exc:  # the loop's boundary: record what ended it
             log.exception("engine loop stopped")
             self.error = f"{type(exc).__name__}: {exc}"
+            if on_error is not None:
+                on_error()
 
-    def start(self):
-        self._thread = threading.Thread(target=self._run, name="engine-loop", daemon=True)
+    def start(self, on_error: Optional[Callable[[], None]] = None):
+        self._thread = threading.Thread(target=self._run, args=(on_error,), name="engine-loop", daemon=True)
         self._thread.start()
 
     def stop(self):

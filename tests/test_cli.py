@@ -205,12 +205,8 @@ def test_controller_sim_config_error_keeps_the_out_file(tmp_path, capsys):
     assert out.read_text() == "kept\n"
 
 
-def _serve_then_signal(tmp_path, signum):
-    """Serve the bundled replay, check a scrape, then stop ``serve`` with ``signum``."""
-    config = _agent_config_dict("configs/replay_demo.jsonl", window_s=0.1)
-    config["slo"] = {"webapp": {"kpi_name": "p95_latency_ms", "slo_value": 16.0}}
-    config_path = tmp_path / "agent.json"
-    config_path.write_text(json.dumps(config))
+def _serve_then_signal(config_path, signum, threads=None):
+    """Serve ``config_path``, check a scrape and the thread count, then stop ``serve`` with ``signum``."""
     proc = subprocess.Popen(
         [sys.executable, "-u", "-m", "buoyancy.cli", "serve",
          "--config", str(config_path), "--listen", "127.0.0.1:0"],
@@ -240,6 +236,9 @@ def _serve_then_signal(tmp_path, signum):
         assert body and 'buoyancy_score{workload_id="webapp"}' in body
         with urllib.request.urlopen(f"{base}/healthz", timeout=2) as resp:
             assert resp.read() == b"ok"
+        if threads is not None:
+            with open(f"/proc/{proc.pid}/status", encoding="ascii") as fh:
+                assert re.search(r"^Threads:\s*(\d+)$", fh.read(), re.M).group(1) == str(threads)
         proc.send_signal(signum)
         out, _ = proc.communicate(timeout=10)
         assert proc.returncode == 0
@@ -251,12 +250,25 @@ def _serve_then_signal(tmp_path, signum):
             proc.communicate()
 
 
+def _demo_replay_config(tmp_path):
+    config = _agent_config_dict("configs/replay_demo.jsonl", window_s=0.1)
+    config["slo"] = {"webapp": {"kpi_name": "p95_latency_ms", "slo_value": 16.0}}
+    config_path = tmp_path / "agent.json"
+    config_path.write_text(json.dumps(config))
+    return config_path
+
+
 def test_serve_end_to_end_subprocess(tmp_path):
-    _serve_then_signal(tmp_path, signal.SIGINT)
+    _serve_then_signal(_demo_replay_config(tmp_path), signal.SIGINT)
 
 
 def test_serve_sigterm_exits_0_with_final_report(tmp_path):
-    _serve_then_signal(tmp_path, signal.SIGTERM)
+    _serve_then_signal(_demo_replay_config(tmp_path), signal.SIGTERM)
+
+
+def test_serve_serves_on_its_main_thread_beside_one_engine_thread():
+    """The plant source never ends, so the engine thread is alive at the check."""
+    _serve_then_signal("configs/agent_plant.json", signal.SIGTERM, threads=2)
 
 
 def test_serve_exits_2_once_engine_loop_died(tmp_path):

@@ -21,8 +21,16 @@ def test_all_lists_every_public_name_once_and_each_resolves():
 
 
 def test_importing_the_cli_loads_no_http_server_stack():
-    """The agent's HTTP front end is its own; http.server would bring email and ssl along."""
-    unwanted = ("http.server", "http.client", "socketserver", "email", "ssl")
+    """The CLI loads no subcommand's own modules until that subcommand runs.
+
+    ``serve`` then leaves out the analysis stack and the offline commands
+    the socket stack. The agent's HTTP front end is its own, since
+    http.server would bring email and ssl along.
+    """
+    unwanted = (
+        "http.server", "http.client", "socketserver", "email", "ssl",
+        "buoyancy.analysis", "buoyancy.controller", "buoyancy.httpd", "statistics", "csv", "fractions", "decimal",
+    )
     probe = f"import sys, buoyancy.cli; print([m for m in {unwanted!r} if m in sys.modules])"
     src = Path(buoyancy.__file__).resolve().parents[1]
     out = subprocess.run(

@@ -431,10 +431,12 @@ def test_healthz_after_the_engine_loop_ends(tmp_path, tail, error):
     server = make_server(agent, "127.0.0.1", 0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
+    errors = []
     try:
-        agent.start()
+        agent.start(on_error=lambda: errors.append(agent.error))
         agent._thread.join(timeout=5.0)
         assert not agent._thread.is_alive()
+        assert errors == ([] if error is None else [agent.error])
         assert agent.snapshot().window_end == EPOCH + 2 * _SECOND
         try:
             status, _, body = _get(f"http://127.0.0.1:{server.server_address[1]}/healthz")
@@ -718,6 +720,22 @@ def test_scrapes_start_no_threads_and_shutdown_ends_every_one(tmp_path, monkeypa
     finally:
         server.server_close()
         agent.stop()
+
+
+def test_shutdown_ends_serving_however_often_and_whenever_it_is_called(tmp_path):
+    """A signal handler and the engine loop may both call it, before the loop starts or after it has ended."""
+    agent = MetricsAgent(AgentConfig.from_dict(_agent_config_dict(two_workload_replay(tmp_path / "t.jsonl"))))
+    server = make_server(agent, "127.0.0.1", 0)
+    try:
+        server.shutdown()  # before serve_forever: it returns at once
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        thread.join(timeout=1.0)
+        assert not thread.is_alive(), "serve_forever did not return after an earlier shutdown()"
+        server.shutdown()
+    finally:
+        server.server_close()
+    server.shutdown()
 
 
 def test_each_request_logs_one_debug_line(served, caplog):
