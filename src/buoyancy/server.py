@@ -149,8 +149,8 @@ class MetricsAgent:
         """Step once per ``window_s`` on monotonic deadlines until stopped or the source ends.
 
         A step that overruns its window moves the next deadline to now
-        instead of queueing the missed ones. An error ends the loop, is kept
-        in ``error``, which ``/healthz`` reports, and then calls ``on_error``.
+        instead of queueing the missed ones. An error ends the loop; it is
+        kept in ``error``, which ``/healthz`` reports, and ``on_error`` is called.
         """
         period = self.config.window_s
         deadline = monotonic()
