@@ -18,16 +18,11 @@ from .engine import (
     perf_score,
 )
 from .errors import (
-    BindError,
     BuoyancyError,
     CapacityExceeded,
     ConfigError,
     EmptyNode,
-    EmptyScoreSet,
     InsufficientData,
-    InvalidSlo,
-    NonIncreasingCacheSizes,
-    NonPositiveGeometry,
     NonPositiveInput,
     ParseError,
     SchemaError,
@@ -60,7 +55,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Allocation",
-    "BindError",
     "BuoyancyError",
     "BuoyancyReport",
     "CacheTopology",
@@ -68,15 +62,11 @@ __all__ = [
     "ConfigError",
     "ContentionPlant",
     "EmptyNode",
-    "EmptyScoreSet",
     "Engine",
     "EngineConfig",
     "InsufficientData",
-    "InvalidSlo",
     "MrcFit",
     "NodeReport",
-    "NonIncreasingCacheSizes",
-    "NonPositiveGeometry",
     "NonPositiveInput",
     "ParseError",
     "PlantConfig",

@@ -87,6 +87,12 @@ def cmd_analyze(args) -> int:
             for name, span in segments.items():
                 if len(span) != 2:
                     raise ConfigError(f"--segments.{name}: expected [start, end], got {list(span)}")
+            for name in ("low", "high"):  # other names are ignored, as unknown config keys are
+                span = segments.get(name)
+                if span is None:
+                    raise ConfigError(f"--segments.{name}: missing")
+                if not 0 <= span[0] < span[1]:
+                    raise ConfigError(f"--segments.{name}: expected 0 <= start < end, got {list(span)}")
         report = analysis.analyze_replay(args.input, config, segments=segments)
     else:
         report = analysis.analyze_medians(analysis.load_medians_file(args.input))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from typing import Mapping, Optional, Sequence
 
-from .errors import EmptyNode, EmptyScoreSet, NonPositiveInput, SchemaError
+from .errors import EmptyNode, NonPositiveInput, SchemaError
 from .model import (
     DEFAULT_VIOLATION_THRESHOLD,
     BuoyancyReport,
@@ -89,7 +89,7 @@ def perf_score(k_curr: Optional[float], slo: Optional[SloSpec]) -> float:
 def buoyancy(p: float, scores: Sequence[float], alpha: float = DEFAULT_ALPHA) -> float:
     """Buoyancy score b of one workload (see module docstring)."""
     if not scores:
-        raise EmptyScoreSet("buoyancy needs at least one resource score")
+        raise ValueError("buoyancy needs at least one resource score")
     mx = max(scores)
     mn = math.fsum(scores) / len(scores)
     # Equal max and mean collapse algebraically to a single factor; taking

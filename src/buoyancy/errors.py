@@ -1,24 +1,20 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one error model.
+
+* A value that breaks a rule of the type holding it, or a library caller's
+  bad argument, raises ``ValueError``; ``config.build`` turns it into a
+  ``ConfigError`` that names its location.
+* ``ConfigError``: an unusable setting, such as a config that cannot be read
+  or built, an unreadable replay, an unwritable ``--out`` or an address that
+  cannot be bound. The CLI exits 1.
+* Telemetry raises ``ParseError`` or ``SchemaError``, and allocations over
+  the node's capacity raise ``CapacityExceeded``.
+* Run-time faults (``EmptyNode``, ``NonPositiveInput``, ``InsufficientData``)
+  and every other ``BuoyancyError`` make the CLI exit 2.
+"""
 
 
 class BuoyancyError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class NonIncreasingCacheSizes(BuoyancyError):
-    """Cache sizes are not strictly increasing from L1 to L3."""
-
-
-class NonPositiveGeometry(BuoyancyError):
-    """A topology geometry field is zero or negative."""
-
-
-class InvalidSlo(BuoyancyError):
-    """SLO value is zero or negative."""
-
-
-class EmptyScoreSet(BuoyancyError):
-    """The resource score set is empty."""
+    """Base class for the errors this package defines; a rule or argument violation is a ``ValueError``."""
 
 
 class EmptyNode(BuoyancyError):
@@ -60,8 +56,4 @@ class InsufficientData(BuoyancyError):
 
 
 class ConfigError(BuoyancyError):
-    """Service configuration is missing or invalid."""
-
-
-class BindError(BuoyancyError):
-    """The HTTP listener could not bind its address."""
+    """A configuration or deployment setting is missing, invalid or unusable."""

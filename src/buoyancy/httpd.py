@@ -18,7 +18,7 @@ import socket
 from time import monotonic
 from typing import Optional
 
-from .errors import BindError
+from .errors import ConfigError
 from .server import _HEAD_END, MAX_HEAD_BYTES, MetricsAgent, _Handler
 
 log = logging.getLogger(__name__)
@@ -166,9 +166,9 @@ class HttpServer:
 
 
 def make_server(agent: MetricsAgent, host: str, port: int) -> HttpServer:
-    """Bind the HTTP listener; raises BindError if the address is taken."""
+    """Bind the HTTP listener; an address that cannot be bound is a ConfigError, so ``serve`` exits 1."""
     try:
         listener = socket.create_server((host, port))
     except OSError as exc:
-        raise BindError(f"cannot bind {host}:{port}: {exc}") from None
+        raise ConfigError(f"cannot bind {host}:{port}: {exc}") from None
     return HttpServer(listener, agent)

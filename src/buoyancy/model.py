@@ -9,7 +9,7 @@ from dataclasses import MISSING, InitVar, dataclass, fields
 from datetime import datetime
 from typing import Optional
 
-from .errors import InvalidSlo, NonIncreasingCacheSizes, NonPositiveGeometry, SchemaError
+from .errors import SchemaError
 
 #: Buoyancy at or below this value flags a workload as approaching an
 #: SLO violation.
@@ -78,9 +78,9 @@ class CacheTopology:
         for f in fields(self):
             value = getattr(self, f.name)
             if not value > 0:
-                raise NonPositiveGeometry(f"{f.name} must be > 0, got {value}")
+                raise ValueError(f"{f.name} must be > 0, got {value}")
         if not (self.l1_size_kib < self.l2_size_kib < self.l3_size_kib):
-            raise NonIncreasingCacheSizes(
+            raise ValueError(
                 f"cache sizes must be strictly increasing, got "
                 f"{self.l1_size_kib} / {self.l2_size_kib} / {self.l3_size_kib} KiB"
             )
@@ -112,7 +112,7 @@ class SloSpec:
 
     def __post_init__(self):
         if self.slo_value is not None and not self.slo_value > 0:
-            raise InvalidSlo(f"slo_value must be > 0, got {self.slo_value}")
+            raise ValueError(f"slo_value must be > 0, got {self.slo_value}")
 
 
 @value_type

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import signal
+import socket
 import statistics
 import subprocess
 import sys
@@ -83,8 +84,9 @@ def test_analyze_cli_replay_needs_slo(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "segments",
-    ['{"low": [0, 2', "[1, 2]", '{"low": [0, "a"], "high": [2, 4]}', '{"low": [0], "high": [2, 4]}'],
-    ids=["malformed", "not-an-object", "not-an-integer", "one-bound"],
+    ['{"low": [0, 2', "[1, 2]", '{"low": [0, "a"], "high": [2, 4]}', '{"low": [0], "high": [2, 4]}',
+     '{"lo": [0, 2], "high": [2, 4]}', '{"low": [2, 0], "high": [2, 4]}', '{"low": [0, 2], "high": [2, 2]}'],
+    ids=["malformed", "not-an-object", "not-an-integer", "one-bound", "misnamed", "reversed", "empty"],
 )
 def test_analyze_cli_bad_segments_exit_1(tmp_path, capsys, segments):
     replay = write_jsonl(tmp_path / "r.jsonl", [record_dict(window_index=i) for i in range(4)])
@@ -93,6 +95,15 @@ def test_analyze_cli_bad_segments_exit_1(tmp_path, capsys, segments):
     args = ["analyze", "--input", replay, "--slo", str(config_path), "--segments", segments]
     assert main(args) == 1
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_analyze_cli_checks_segments_before_reading_the_replay(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(_agent_config_dict(str(tmp_path / "missing.jsonl"))))
+    args = ["analyze", "--input", str(tmp_path / "missing.jsonl"), "--slo", str(config_path),
+            "--segments", '{"low": [0, 2]}']
+    assert main(args) == 1
+    assert capsys.readouterr().err == "config error: --segments.high: missing\n"
 
 
 def test_analyze_cli_insufficient_data_is_runtime_error(tmp_path, capsys):
@@ -300,6 +311,20 @@ def test_serve_exits_2_once_engine_loop_died(tmp_path):
 def test_serve_bad_listen_exits_1(capsys):
     assert main(["serve", "--config", "configs/agent_replay.json", "--listen", "localhost"]) == 1
     assert capsys.readouterr().err.startswith("config error: --listen must be HOST:PORT")
+
+
+def test_serve_on_an_address_it_cannot_bind_exits_1():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(buoyancy.__file__)))
+    with socket.create_server(("127.0.0.1", 0)) as held:
+        port = held.getsockname()[1]
+        result = subprocess.run(
+            [sys.executable, "-m", "buoyancy.cli", "serve", "--config", "configs/agent_replay.json",
+             "--listen", f"127.0.0.1:{port}"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+    assert result.returncode == 1, result.stderr
+    assert result.stderr.splitlines()[-1].startswith(f"config error: cannot bind 127.0.0.1:{port}: ")
+    assert "Traceback" not in result.stderr
 
 
 def test_runtime_imports_without_numpy_or_hypothesis():

@@ -137,6 +137,25 @@ def test_bad_config_fails_at_load(name, path, value, where, tmp_path, capsys):
     assert not (tmp_path / "runs.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "path,value,line",
+    [
+        (("topology", "l3_ways"), 0, "config error: config.topology: l3_ways must be > 0, got 0"),
+        (("topology", "l1_size_kib"), 1280, "config error: config.topology: "
+         "cache sizes must be strictly increasing, got 1280.0 / 1280.0 / 12288.0 KiB"),
+        (("slo", "webapp", "slo_value"), 0, "config error: config.slo.webapp: slo_value must be > 0, got 0.0"),
+    ],
+    ids=["l3-ways-zero", "l1-not-below-l2", "slo-zero"],
+)
+def test_rule_violation_prints_its_whole_config_error_line(path, value, line, tmp_path, capsys):
+    obj = _bundled("agent_replay.json")
+    parent, key = _parent(obj, path)
+    parent[key] = value
+    (tmp_path / "agent.json").write_text(json.dumps(obj))
+    assert main(["serve", "--config", str(tmp_path / "agent.json"), "--listen", "127.0.0.1:0"]) == 1
+    assert capsys.readouterr().err == line + "\n"
+
+
 @pytest.mark.parametrize("path", [("topology", "mem_channels"), ("source",)])
 def test_missing_field_is_named(path):
     obj = _bundled("agent_replay.json")

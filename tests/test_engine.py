@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 
 from buoyancy import (
     EmptyNode,
-    EmptyScoreSet,
     Engine,
     EngineConfig,
-    InvalidSlo,
     NonPositiveInput,
     ResourceScores,
     SchemaError,
@@ -50,9 +48,9 @@ def test_perf_score_missing_kpi():
 
 
 def test_perf_score_invalid_slo():
-    with pytest.raises(InvalidSlo):
+    with pytest.raises(ValueError, match=r"^slo_value must be > 0, got 0\.0$"):
         perf_score(1.0, SloSpec("p95", 0.0))
-    with pytest.raises(InvalidSlo):
+    with pytest.raises(ValueError, match=r"^slo_value must be > 0, got -3\.0$"):
         perf_score(1.0, SloSpec("p95", -3.0))
 
 
@@ -85,7 +83,7 @@ def test_buoyancy_saturated_scores_is_zero_exactly():
 
 
 def test_buoyancy_empty_scores():
-    with pytest.raises(EmptyScoreSet):
+    with pytest.raises(ValueError, match=r"^buoyancy needs at least one resource score$"):
         buoyancy(0.5, [], alpha=0.7)
 
 

@@ -14,8 +14,6 @@ from buoyancy import (
     CacheTopology,
     MrcFit,
     NodeReport,
-    NonIncreasingCacheSizes,
-    NonPositiveGeometry,
     ResourceScores,
     SchemaError,
     TelemetrySample,
@@ -29,12 +27,12 @@ from .conftest import EPOCH, make_sample
 
 
 def test_swapped_l1_l2_rejected(topo):
-    with pytest.raises(NonIncreasingCacheSizes):
+    with pytest.raises(ValueError, match=r"^cache sizes must be strictly increasing, got 1280 / 80 / 12288 KiB$"):
         CacheTopology(1280, 80, 12288, 12, 2666, 8, 4)
 
 
 def test_equal_sizes_rejected():
-    with pytest.raises(NonIncreasingCacheSizes):
+    with pytest.raises(ValueError, match=r"^cache sizes must be strictly increasing, got 80 / 80 / 12288 KiB$"):
         CacheTopology(80, 80, 12288, 12, 2666, 8, 4)
 
 
@@ -43,7 +41,7 @@ def test_equal_sizes_rejected():
     ["l1_size_kib", "l2_size_kib", "l3_size_kib", "l3_ways", "mem_speed_mts", "mem_bus_width_bytes", "mem_channels"],
 )
 def test_zero_geometry_rejected(topo, field):
-    with pytest.raises(NonPositiveGeometry):
+    with pytest.raises(ValueError, match=rf"^{field} must be > 0, got 0$"):
         CacheTopology(**{**_as_kwargs(topo), field: 0})
 
 

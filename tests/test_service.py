@@ -21,7 +21,7 @@ from buoyancy import httpd, server as server_module
 from buoyancy.exposition import CONTENT_TYPE, METRIC_NAMES, render_openmetrics
 from buoyancy.httpd import make_server
 from buoyancy.server import AgentConfig, MetricsAgent, report_to_json
-from buoyancy.errors import BindError, ConfigError, EmptyNode
+from buoyancy.errors import ConfigError, EmptyNode
 
 from . import openmetrics
 from .oracles import _json_default, render_openmetrics_reference
@@ -524,7 +524,7 @@ def test_bind_error(tmp_path):
     server = make_server(agent, "127.0.0.1", 0)
     try:
         port = server.server_address[1]
-        with pytest.raises(BindError):
+        with pytest.raises(ConfigError, match=rf"^cannot bind 127\.0\.0\.1:{port}: "):
             make_server(agent, "127.0.0.1", port)
     finally:
         server.server_close()
@@ -722,20 +722,24 @@ def test_scrapes_start_no_threads_and_shutdown_ends_every_one(tmp_path, monkeypa
         agent.stop()
 
 
-def test_shutdown_ends_serving_however_often_and_whenever_it_is_called(tmp_path):
+def test_shutdown_ends_serving_however_often_and_whenever_it_is_called(tmp_path, monkeypatch):
     """A signal handler and the engine loop may both call it, before the loop starts or after it has ended."""
-    agent = MetricsAgent(AgentConfig.from_dict(_agent_config_dict(two_workload_replay(tmp_path / "t.jsonl"))))
-    server = make_server(agent, "127.0.0.1", 0)
-    try:
-        server.shutdown()  # before serve_forever: it returns at once
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        thread.join(timeout=1.0)
-        assert not thread.is_alive(), "serve_forever did not return after an earlier shutdown()"
+    replay = two_workload_replay(tmp_path / "t.jsonl")
+    with no_unclosed_file(monkeypatch, replay):
+        agent = MetricsAgent(AgentConfig.from_dict(_agent_config_dict(replay)))
+        server = make_server(agent, "127.0.0.1", 0)
+        try:
+            server.shutdown()  # before serve_forever: it returns at once
+            thread = threading.Thread(target=server.serve_forever, daemon=True)
+            thread.start()
+            thread.join(timeout=1.0)
+            assert not thread.is_alive(), "serve_forever did not return after an earlier shutdown()"
+            server.shutdown()
+        finally:
+            server.server_close()
+            agent.stop()
         server.shutdown()
-    finally:
-        server.server_close()
-    server.shutdown()
+        del agent, server, thread
 
 
 def test_each_request_logs_one_debug_line(served, caplog):
