@@ -54,7 +54,11 @@ def cmd_serve(args) -> int:
     config = AgentConfig.from_file(args.config)
     host, port = _parse_listen(args.listen)
     agent = MetricsAgent(config)
-    server = make_server(agent, host, port)
+    try:
+        server = make_server(agent, host, port)
+    except ConfigError:
+        agent.stop()  # close the source the agent opened
+        raise
     signal.signal(signal.SIGINT, lambda signum, frame: server.shutdown())
     signal.signal(signal.SIGTERM, lambda signum, frame: server.shutdown())
     agent.start(on_error=server.shutdown)  # a normal end of the replay keeps serving

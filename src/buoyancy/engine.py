@@ -114,33 +114,28 @@ def node_buoyancy(buoyancies: Sequence[float], alpha: float = DEFAULT_ALPHA) -> 
 
 
 def node_resource_scores(
-    scored: Sequence[tuple[TelemetrySample, ResourceScores]],
-    topology: CacheTopology,
+    cpu_user_time_s: Sequence[float],
+    llc_scores: Sequence[float],
+    mbw_bytes: Sequence[float],
+    window_s: float,
     node_cores: float,
+    peak_mbw: float,
 ) -> ResourceScores:
-    """Node-level resource scores over one shared window.
+    """Node-level resource scores over one shared window of ``window_s`` seconds.
 
-    CPU and MBW are re-derived from the raw counters: total user CPU time
-    over the node's physical core-seconds, and total traffic over the
-    theoretical peak bandwidth. LLC sensitivity does not aggregate that
-    way (it depends on each workload's own allocation), so the node LLC
-    score is the mean of the workload scores.
+    Each sequence holds one figure per workload of the window. CPU and MBW
+    are re-derived from the raw counters: total user CPU time over the
+    node's physical core-seconds, and total traffic over the theoretical
+    peak bandwidth ``peak_mbw`` (``theoretical_max_mbw`` of the topology).
+    LLC sensitivity does not aggregate that way (it depends on each
+    workload's own allocation), so the node LLC score is the mean of the
+    workload scores.
     """
-    if not scored:
+    if not llc_scores:
         raise EmptyNode("node has no samples to aggregate")
-    cpu_s = math.fsum(s.cpu_user_time_s for s, _ in scored)
-    llc_sum = math.fsum(r.llc for _, r in scored)
-    traffic = math.fsum(s.mbw_bytes for s, _ in scored)
-    window_s, peak_mbw = scored[0][0].window_s, theoretical_max_mbw(topology)
-    return _node_scores(cpu_s, llc_sum, traffic, len(scored), window_s, node_cores, peak_mbw)
-
-
-def _node_scores(
-    cpu_s: float, llc_sum: float, traffic: float, n: int, window_s: float, node_cores: float, peak_mbw: float
-) -> ResourceScores:
-    """Node scores from the batch's total CPU time, LLC score sum and traffic."""
-    cpu = min(cpu_s / (node_cores * window_s), 1.0)
-    return ResourceScores(cpu, llc_sum / n, min(traffic / window_s / peak_mbw, 1.0))
+    cpu = min(math.fsum(cpu_user_time_s) / (node_cores * window_s), 1.0)
+    mbw = min(math.fsum(mbw_bytes) / window_s / peak_mbw, 1.0)
+    return ResourceScores(cpu, math.fsum(llc_scores) / len(llc_scores), mbw)
 
 
 def log_change(low: float, high: float) -> float:
@@ -186,9 +181,8 @@ class Engine:
 
         Its workload reports follow the batch, one per sample, in order.
         The batch is checked before any state changes. The scoring loop
-        fills the lists that the node figures sum: ``node_resource_scores``
-        takes the same ``math.fsum`` totals (correctly rounded, so the
-        container does not matter) to the same ``_node_scores``.
+        fills the per-workload lists that ``node_resource_scores`` and
+        ``node_buoyancy`` aggregate into the node figures.
         """
         if not batch:
             raise EmptyNode("empty telemetry batch")
@@ -252,8 +246,7 @@ class Engine:
             llcs.append(llc)
             buoyancies.append(b)
 
-        totals = math.fsum(cpu_times), math.fsum(llcs), math.fsum(traffic)
-        node_scores = _node_scores(*totals, len(batch), window_s, self.node_cores, self._peak_mbw)
+        node_scores = node_resource_scores(cpu_times, llcs, traffic, window_s, self.node_cores, self._peak_mbw)
         return NodeReport(node_scores, node_buoyancy(buoyancies, alpha), reports, start, end)
 
     @property

@@ -90,7 +90,7 @@ _FIELD = """
         raise SchemaError("{key}", {null}f"expected {types}, got {{type({key}).__name__}}")"""
 _TIMESTAMP = """
     try:
-        {key} = datetime.fromisoformat({key}.replace("Z", "+00:00"))
+        {key} = datetime.fromisoformat({key})
     except ValueError:
         raise SchemaError("{key}", f"not an RFC3339 timestamp: {{{key}!r}}") from None"""
 

@@ -4,8 +4,10 @@ These deliberately avoid the code paths under test: the log-log OLS
 oracle goes through numpy.polyfit, the closed-form plant map restates
 the plant and scoring equations directly, and the record parser, the
 engine step and the plant step are the earlier implementations that the
-faster ones replaced, kept as bit-parity references. The per-resource
-score functions and the n-point power-law fit are the plain forms of the
+faster ones replaced, kept as bit-parity references; so is the node
+aggregation over (sample, scores) pairs that ``node_resource_scores``
+ran before it took per-workload lists. The per-resource score
+functions and the n-point power-law fit are the plain forms of the
 rules that ``score_workload`` and ``fit_mrc`` run: the same arithmetic in
 the same order, so their results must agree to the bit. The line-list
 OpenMetrics renderer is the one that ``render_openmetrics`` replaced, and ``_json_default`` is the ``datetime`` hook of the
@@ -202,7 +204,7 @@ _CHECKS = tuple(
 
 def _parse_rfc3339(value, field):
     try:
-        return datetime.fromisoformat(value.replace("Z", "+00:00"))
+        return datetime.fromisoformat(value)
     except ValueError:
         raise SchemaError(field, f"not an RFC3339 timestamp: {value!r}") from None
 
@@ -241,7 +243,7 @@ def parse_record_reference(obj, strict=True):
 
 
 def node_resource_scores_reference(scored, topology, node_cores):
-    """``node_resource_scores`` as written before its arithmetic moved to ``engine._node_scores``."""
+    """Node resource scores over one window's (sample, scores) pairs: the form ``node_resource_scores`` replaced."""
     if not scored:
         raise EmptyNode("node has no samples to aggregate")
     window = scored[0][0].window_s

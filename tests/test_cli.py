@@ -318,13 +318,14 @@ def test_serve_on_an_address_it_cannot_bind_exits_1():
     with socket.create_server(("127.0.0.1", 0)) as held:
         port = held.getsockname()[1]
         result = subprocess.run(
-            [sys.executable, "-m", "buoyancy.cli", "serve", "--config", "configs/agent_replay.json",
+            [sys.executable, "-X", "dev", "-m", "buoyancy.cli", "serve", "--config", "configs/agent_replay.json",
              "--listen", f"127.0.0.1:{port}"],
             capture_output=True, text=True, env=env, timeout=60,
         )
     assert result.returncode == 1, result.stderr
     assert result.stderr.splitlines()[-1].startswith(f"config error: cannot bind 127.0.0.1:{port}: ")
     assert "Traceback" not in result.stderr
+    assert "ResourceWarning" not in result.stderr  # the replay the agent opened is closed
 
 
 def test_runtime_imports_without_numpy_or_hypothesis():

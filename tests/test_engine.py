@@ -20,6 +20,7 @@ from buoyancy import (
     node_buoyancy,
     node_resource_scores,
     perf_score,
+    theoretical_max_mbw,
 )
 
 from buoyancy import engine as engine_module
@@ -134,36 +135,45 @@ def test_buoyancy_sign_follows_p():
 
 # ---------------------------------------------------------- node aggregation
 
+def _node_of(samples, llc_scores, topology, node_cores):
+    """``node_resource_scores`` over one window's samples and their LLC scores."""
+    return node_resource_scores(
+        [s.cpu_user_time_s for s in samples], llc_scores, [s.mbw_bytes for s in samples],
+        samples[0].window_s, node_cores, theoretical_max_mbw(topology),
+    )
+
+
 def test_node_cpu_is_additive(topo):
-    pairs = [
-        (make_sample(workload_id=f"w{i}", cpu_user_time_s=1.0, cpu_alloc_cores=2.0), ResourceScores(0.5, 0.0, 0.0))
-        for i in range(2)
-    ]
-    node = node_resource_scores(pairs, topo, node_cores=4.0)
+    samples = [make_sample(workload_id=f"w{i}", cpu_user_time_s=1.0, cpu_alloc_cores=2.0) for i in range(2)]
+    node = _node_of(samples, [0.0, 0.0], topo, node_cores=4.0)
     assert node.cpu == 0.5
 
 
 def test_node_llc_is_mean(topo):
-    pairs = [
-        (make_sample(workload_id=f"w{i}"), ResourceScores(0.0, llc, 0.0))
-        for i, llc in enumerate([0.1, 0.3, 0.2])
-    ]
-    node = node_resource_scores(pairs, topo, node_cores=8.0)
+    samples = [make_sample(workload_id=f"w{i}") for i in range(3)]
+    node = _node_of(samples, [0.1, 0.3, 0.2], topo, node_cores=8.0)
     assert node.llc == pytest.approx(0.2, rel=1e-12)
 
 
 def test_node_mbw_saturates_at_theoretical_peak(topo):
-    pairs = [
-        (make_sample(workload_id=f"w{i}", mbw_bytes=42_656_000_000), ResourceScores(0.0, 0.0, 0.5))
-        for i in range(2)
-    ]
-    node = node_resource_scores(pairs, topo, node_cores=8.0)
+    samples = [make_sample(workload_id=f"w{i}", mbw_bytes=42_656_000_000) for i in range(2)]
+    node = _node_of(samples, [0.0, 0.0], topo, node_cores=8.0)
     assert node.mbw == 1.0
 
 
 def test_node_scores_empty(topo):
     with pytest.raises(EmptyNode):
-        node_resource_scores([], topo, node_cores=8.0)
+        node_resource_scores([], [], [], 1.0, 8.0, theoretical_max_mbw(topo))
+
+
+def test_step_aggregates_through_node_resource_scores():
+    # perfbench times the node aggregation by patching this module attribute.
+    batch = [make_sample(workload_id=f"w{i}", cpu_user_time_s=0.25 * i, kpi_value=4.0) for i in range(3)]
+    want = Engine(TABLE_TOPO, 8.0).step(batch)
+    with mock.patch.object(engine_module, "node_resource_scores", wraps=node_resource_scores) as spy:
+        got = Engine(TABLE_TOPO, 8.0).step(batch)
+    spy.assert_called_once()
+    assert repr(got) == repr(want)
 
 
 def test_node_buoyancy_worked_example():
@@ -491,7 +501,7 @@ def test_step_matches_three_pass_reference(batches, alpha, ema_factor, expiry_wi
         assert _workload_states(engine) == _workload_states(reference)
         if isinstance(got, engine_module.NodeReport):  # the public aggregation agrees with the step's
             scored = [(s, r.resource_scores) for s, r in zip(batch, got.workload_reports)]
-            node = node_resource_scores(scored, TABLE_TOPO, node_cores)
+            node = _node_of(batch, [r.llc for _, r in scored], TABLE_TOPO, node_cores)
             assert repr(node) == repr(node_resource_scores_reference(scored, TABLE_TOPO, node_cores))
             assert repr(node) == repr(got.node_resource_scores)
 

@@ -97,6 +97,12 @@ def test_replay_unknown_field_lenient_warns(tmp_path, caplog):
         (lambda r: r.update(cpu_user_time_s=None), "cpu_user_time_s"),
         (lambda r: r.update(window_start="yesterday"), "window_start"),
         (lambda r: r.update(window_end="2026-01-01T00:00:00Z"), "window_end"),
+        # A "Z" that does not end a time is malformed.
+        pytest.param(lambda r: r.update(window_start="2026-01-01Z"), "window_start", id="window_start-date-Z"),
+        pytest.param(lambda r: r.update(window_start="2026-01-01ZZ"), "window_start", id="window_start-date-ZZ"),
+        pytest.param(
+            lambda r: r.update(window_start="20260101Z+01:00"), "window_start", id="window_start-Z-offset"
+        ),
         (lambda r: r.update(mbw_alloc_bytes_per_s=0), "mbw_alloc_bytes_per_s"),
         (lambda r: r.update(llc_alloc_kib=-4), "llc_alloc_kib"),
         (lambda r: r.update(kpi_value=-1), "kpi_value"),
