@@ -48,7 +48,6 @@ from .sources import (
     PlantSource,
     PlantWorkload,
     ReplaySource,
-    demo_plant_config,
 )
 
 __version__ = "0.1.0"
@@ -78,7 +77,6 @@ __all__ = [
     "SloSpec",
     "TelemetrySample",
     "buoyancy",
-    "demo_plant_config",
     "fit_mrc",
     "llc_way_size",
     "log_change",

@@ -31,8 +31,8 @@ log = logging.getLogger(__name__)
 
 def _parse_listen(value: str) -> tuple[str, int]:
     host, sep, port = value.rpartition(":")
-    if not sep or not port.isdigit():
-        raise ConfigError(f"--listen must be HOST:PORT, got {value!r}")
+    if not (sep and len(port) <= 5 and port.isascii() and port.isdigit() and int(port) <= 65535):
+        raise ConfigError(f"--listen must be HOST:PORT with a port in 0-65535, got {value!r}")
     return (host or "127.0.0.1", int(port))
 
 

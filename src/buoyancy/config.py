@@ -140,6 +140,8 @@ class AgentConfig:
                 raise ValueError("a plant source needs source.plant and a non-empty source.allocations")
             if self.topology != self.plant.topology:  # else the engine scores the counters on another cache
                 raise ValueError("a plant source needs topology equal to source.plant.topology")
+            if self.node_cores != self.plant.total_cores:  # else the node CPU score divides by cores the plant lacks
+                raise ValueError("a plant source needs node_cores equal to source.plant.total_cores")
             self.plant.check_allocations(self.allocations)
             if not 0.0 <= self.interference <= 1.0:
                 raise ValueError(f"source.interference must be in [0, 1], got {self.interference}")

@@ -28,8 +28,6 @@ _NODE_METRICS = (
     ("node_buoyancy", "node_buoyancy", "Node-level buoyancy score."),
 )
 
-METRIC_NAMES = tuple(name for name, _, _ in _WORKLOAD_METRICS + _NODE_METRICS)
-
 
 def _escape_label(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")

@@ -5,6 +5,7 @@ functions. Cache sizes are carried in KiB and bandwidth in bytes/second;
 unit conversion belongs at interface boundaries, not here.
 """
 
+import re
 from dataclasses import MISSING, InitVar, dataclass, fields
 from datetime import datetime
 from typing import Optional
@@ -18,6 +19,10 @@ DEFAULT_VIOLATION_THRESHOLD = 0.1
 #: The least integer that ``float()`` cannot hold: it rounds up to 2**1024.
 #: Every finite float is below it, and infinity and NaN are not.
 _FLOAT_LIMIT = 2**1024 - 2**970
+
+#: Finds a code point that UTF-8 cannot encode: a JSON-escaped lone surrogate,
+#: or a byte that is not UTF-8, read with ``errors="surrogateescape"``.
+find_surrogate = re.compile("[\ud800-\udfff]").search
 
 
 def value_type(cls):
@@ -137,6 +142,8 @@ class TelemetrySample:
         # The only home of a sample's value rules.
         if not self.workload_id:
             raise SchemaError("workload_id", "must be non-empty")
+        if not self.workload_id.isascii() and find_surrogate(self.workload_id):
+            raise SchemaError("workload_id", "must be valid UTF-8, with no lone surrogate")
         try:
             ordered = self.window_end > self.window_start
         except TypeError:  # one bound carries a UTC offset and the other does not

@@ -31,7 +31,7 @@ from datetime import datetime, timedelta, timezone
 from typing import IO, Iterator, Mapping, Optional
 
 from .errors import CapacityExceeded, ConfigError, ParseError, SchemaError
-from .model import CacheTopology, TelemetrySample, value_type
+from .model import CacheTopology, TelemetrySample, find_surrogate, value_type
 
 log = logging.getLogger(__name__)
 
@@ -167,14 +167,15 @@ class ReplaySource:
 
     One JSON object per workload-window per line; consecutive lines with
     the same (window_start, window_end) form one batch, in file order.
-    A bad line ends the stream after the batch before it. The file is
-    closed at end of stream, on an error, and by ``close()``; a file that
-    cannot be opened is a ``ConfigError``.
+    A bad line ends the stream after the batch before it. A byte that is
+    not UTF-8 is read as a lone surrogate, so the line's own rules reject
+    it. The file is closed at end of stream, on an error, and by
+    ``close()``; a file that cannot be opened is a ``ConfigError``.
     """
 
     def __init__(self, path: str, strict: bool = True):
         try:
-            self._fh = open(path, "r", encoding="utf-8")
+            self._fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
         except OSError as exc:
             raise ConfigError(f"cannot read replay {path!r}: {exc}") from None
         self._batches = _read_batches(self._fh, strict)
@@ -211,6 +212,8 @@ class PlantWorkload:
     def __post_init__(self):
         if not self.id:
             raise ValueError("id must be non-empty")
+        if find_surrogate(self.id):
+            raise ValueError("id must be valid UTF-8, with no lone surrogate")
         if self.service_rate_per_core <= 0:
             raise ValueError("service_rate_per_core must be > 0")
         if self.latency_gain <= 0:
@@ -361,38 +364,3 @@ class PlantSource:
 
     def close(self):
         """Nothing to release; every source has ``close``."""
-
-
-def demo_plant_config(seed: int = 0, noise_sigma: float = 0.01) -> PlantConfig:
-    """A calibrated single-workload plant used by the docs and tests.
-
-    The workload saturates memory bandwidth around half load while its
-    latency knee sits near 70% load, so headroom erodes well before the
-    latency curve shows it. Pair with a 16 ms p95 SLO and an allocation
-    of 4 cores and 2048 KiB of LLC.
-    """
-    return PlantConfig(
-        workloads=(
-            PlantWorkload(
-                id="webapp",
-                service_rate_per_core=100.0,
-                base_latency_ms=2.0,
-                latency_gain=1600.0,
-                working_set_kib=48.0,
-                mbw_per_req_bytes=174e6,
-                interference_sensitivity=0.8,
-            ),
-        ),
-        topology=CacheTopology(
-            l1_size_kib=80.0,
-            l2_size_kib=1280.0,
-            l3_size_kib=12288.0,
-            l3_ways=12,
-            mem_speed_mts=2666.0,
-            mem_bus_width_bytes=8.0,
-            mem_channels=4,
-        ),
-        total_cores=8.0,
-        seed=seed,
-        noise_sigma=noise_sigma,
-    )

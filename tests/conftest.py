@@ -8,6 +8,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from buoyancy import CacheTopology, TelemetrySample
+from buoyancy.config import plant_config_from_dict, read_json
 
 EPOCH = datetime(2026, 1, 1, tzinfo=timezone.utc)
 
@@ -27,6 +28,18 @@ TABLE_TOPO = CacheTopology(
 @pytest.fixture
 def topo():
     return TABLE_TOPO
+
+
+def bundled_plant_config(seed=0, noise_sigma=0.01):
+    """The plant of ``configs/agent_plant.json``, with ``seed`` and ``noise_sigma`` in place of the file's.
+
+    Its one workload, ``webapp``, saturates memory bandwidth around half load
+    while its latency knee sits near 70% load, so headroom erodes before the
+    latency curve shows it. The file pairs it with a 16 ms p95 SLO and an
+    allocation of 4 cores and 2048 KiB of LLC.
+    """
+    plant = read_json("configs/agent_plant.json", "agent config")["source"]["plant"]
+    return plant_config_from_dict({**plant, "seed": seed, "noise_sigma": noise_sigma})
 
 
 @contextlib.contextmanager

@@ -20,7 +20,6 @@ from buoyancy import (
     Engine,
     SloSpec,
     buoyancy,
-    demo_plant_config,
     fit_mrc,
     node_buoyancy,
     perf_score,
@@ -38,7 +37,7 @@ from buoyancy.server import AgentConfig, MetricsAgent
 from buoyancy.sources import PlantConfig, PlantWorkload
 
 from . import openmetrics
-from .conftest import TABLE_TOPO, make_sample, two_workload_replay
+from .conftest import TABLE_TOPO, bundled_plant_config, make_sample, two_workload_replay
 from .oracles import fit_power_law, llc_score
 from .test_service import _agent_config_dict, _reference_reports, _report_metric_values
 
@@ -301,7 +300,7 @@ def test_criterion_4_node_aggregation_property():
 
 def _load_sweep(seed):
     """Median measured latency and buoyancy per load level for one seed."""
-    config = demo_plant_config(seed=seed, noise_sigma=0.01)
+    config = bundled_plant_config(seed=seed, noise_sigma=0.01)
     plant = ContentionPlant(config)
     engine = Engine(
         topology=config.topology,

@@ -179,10 +179,18 @@ _BUNDLED_SIM = ["--plant", "configs/controller_plant.json", "--ctrl", "configs/c
                      "config error: cannot write '{tmp}/no/x.csv': ", id="controller-sim-out"),
         pytest.param(["analyze", "--input", "{tmp}/zero-median.json"], 2,
                      "error: log_change needs positive values, got (0.0, 11.43)", id="zero-median"),
+        pytest.param(["analyze", "--input", "{tmp}/bad-byte.jsonl", "--slo", "{tmp}/agent.json"], 2,
+                     "error: field 'workload_id': must be valid UTF-8", id="replay-byte-not-utf8"),
+        pytest.param(["serve", "--config", "configs/agent_replay.json", "--listen", "127.0.0.1:99999"], 1,
+                     "config error: --listen must be HOST:PORT with a port in 0-65535", id="listen-port-over-range"),
+        pytest.param(["serve", "--config", "configs/agent_replay.json", "--listen", "127.0.0.1:\u00b2"], 1,
+                     "config error: --listen must be HOST:PORT with a port in 0-65535", id="listen-port-not-ascii"),
     ],
 )
 def test_cli_failure_is_one_line_and_an_exit_code(tmp_path, argv, code, last_line):
     write_jsonl(tmp_path / "twice.jsonl", [record_dict(), record_dict()])
+    good, bad = (json.dumps(record_dict(workload_id="w1", window_index=i)).encode() for i in (0, 1))
+    (tmp_path / "bad-byte.jsonl").write_bytes(good + b"\n" + bad.replace(b'"w1"', b'"w\xff"') + b"\n")
     (tmp_path / "agent.json").write_text(json.dumps(_agent_config_dict(str(tmp_path / "twice.jsonl"))))
     (tmp_path / "missing-replay.json").write_text(json.dumps(_agent_config_dict(str(tmp_path / "missing.jsonl"))))
     with open("configs/headroom_medians.json", encoding="utf-8") as fh:

@@ -73,8 +73,11 @@ BAD_CONFIGS = [
     ("agent-allocations-null", "agent_plant.json", ("source", "allocations"), None, "config"),
     ("agent-allocations-empty", "agent_plant.json", ("source", "allocations"), {}, "config"),
     ("agent-topology-not-the-plants", "agent_plant.json", ("topology", "l3_size_kib"), 2048, "config"),
+    ("agent-node-cores-not-the-plants", "agent_plant.json", ("node_cores",), 64, "config"),
     ("plant-l3-ways-zero", "controller_plant.json", ("topology", "l3_ways"), 0, "plant.topology"),
     ("plant-workload-id-empty", "controller_plant.json", ("workloads", 0, "id"), "",
+     "plant.workloads[0]"),
+    ("plant-workload-id-lone-surrogate", "controller_plant.json", ("workloads", 0, "id"), "w\ud800",
      "plant.workloads[0]"),
     ("plant-workload-latency-gain-zero", "controller_plant.json", ("workloads", 0, "latency_gain"), 0,
      "plant.workloads[0]"),

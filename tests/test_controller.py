@@ -5,7 +5,6 @@ import statistics
 import pytest
 
 from buoyancy import Allocation, ContentionPlant, Engine, EngineConfig, PlantConfig, PlantWorkload, SloSpec
-from buoyancy import demo_plant_config
 from buoyancy.analysis import format_csv
 from buoyancy.config import plant_config_from_dict, read_json
 from buoyancy.controller import (
@@ -20,6 +19,7 @@ from buoyancy.controller import (
 )
 from buoyancy.errors import ConfigError
 
+from .conftest import TABLE_TOPO
 from .oracles import SeekerReference, StaticPlantMap, engine_step_reference, plant_step_reference
 
 SLO = SloSpec("p95_latency_ms", 16.0)
@@ -38,7 +38,7 @@ def _plant(noise=0.0, seed=100):
                 interference_sensitivity=0.8,
             ),
         ),
-        topology=demo_plant_config().topology,
+        topology=TABLE_TOPO,
         total_cores=8.0,
         seed=seed,
         noise_sigma=noise,

@@ -114,12 +114,18 @@ def test_sample_window_must_be_positive():
 
 @pytest.mark.parametrize(
     "field,value",
-    [("l1_miss", -1), ("cpu_alloc_cores", 0.0), ("mbw_alloc_bytes_per_s", -5)],
+    [("l1_miss", -1), ("cpu_alloc_cores", 0.0), ("mbw_alloc_bytes_per_s", -5),
+     ("workload_id", "w\ud800"), ("workload_id", "\udfff")],
 )
 def test_sample_bad_value_names_field(field, value):
     with pytest.raises(SchemaError) as exc:
         make_sample(**{field: value})
     assert exc.value.field == field
+
+
+def test_sample_workload_id_may_be_any_utf8_text():
+    for workload_id in ("ns/pod a", "caf\u00e9", "\u6f22\u5b57", "pod-\U0001f600", "\ud7ff\ue000"):
+        assert make_sample(workload_id=workload_id).workload_id == workload_id
 
 
 def test_sample_negative_kpi_rejected():

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from buoyancy import BuoyancyReport, ContentionPlant, Engine, NodeReport, ResourceScores, SchemaError, SloSpec
 from buoyancy import httpd, server as server_module
-from buoyancy.exposition import CONTENT_TYPE, METRIC_NAMES, render_openmetrics
+from buoyancy.exposition import CONTENT_TYPE, render_openmetrics
 from buoyancy.httpd import make_server
 from buoyancy.server import AgentConfig, MetricsAgent, report_to_json
 from buoyancy.errors import ConfigError, EmptyNode
@@ -80,6 +80,14 @@ def _report_metric_values(report):
 
 # ---------------------------------------------------------------- exposition
 
+#: The gauge families that scrapers depend on, spelled out so that a renamed
+#: or dropped family fails here rather than matching the renderer's own table.
+FAMILY_NAMES = {
+    "resource_score_cpu", "resource_score_llc", "resource_score_mbw", "perf_score", "buoyancy_score",
+    "node_resource_score_cpu", "node_resource_score_llc", "node_resource_score_mbw", "node_buoyancy",
+}
+
+
 def _sample_report(topo):
     engine = Engine(topology=topo, node_cores=8.0, slos={"w1": SloSpec("p95", 10.0)})
     return engine.step(
@@ -90,7 +98,7 @@ def _sample_report(topo):
 def test_exposition_parses_and_matches_report(topo):
     report = _sample_report(topo)
     families = openmetrics.parse(render_openmetrics(report))
-    assert set(families) == set(METRIC_NAMES)
+    assert set(families) == FAMILY_NAMES
     for family in families.values():
         assert family.type == "gauge"
         assert family.help
@@ -287,7 +295,7 @@ def test_metrics_endpoint_is_openmetrics(running_agent):
     assert status == 200
     assert content_type == CONTENT_TYPE
     families = openmetrics.parse(body)
-    assert set(families) == set(METRIC_NAMES)
+    assert set(families) == FAMILY_NAMES
 
 
 def test_metrics_scrapes_are_single_window_snapshots(running_agent):
@@ -476,6 +484,24 @@ def test_empty_window_stops_the_loop_instead_of_keeping_the_last(tmp_path):
     assert agent.error == "EmptyNode: empty telemetry batch"
     assert agent.current_snapshot() is last  # what /metrics still holds; /healthz and serve report the error
     agent.stop()
+
+
+def test_metrics_still_answers_after_a_lone_surrogate_id_is_rejected(tmp_path):
+    replay = tmp_path / "t.jsonl"
+    good, bad = (json.dumps(record_dict(workload_id="w1", window_index=i)) for i in (0, 1))
+    replay.write_text(good + "\n" + bad.replace('"w1"', '"w\\ud800"') + "\n")  # an ASCII line
+    agent = MetricsAgent(AgentConfig.from_dict(_agent_config_dict(str(replay))))
+    try:
+        assert agent.step_once()
+        with pytest.raises(SchemaError) as exc:
+            agent.step_once()
+        assert exc.value.field == "workload_id"
+        for _ in range(2):  # the body is kept after the first scrape
+            response = server_module._Handler(agent).respond(b"GET /metrics HTTP/1.0\r\n\r\n")
+            assert response.startswith(b"HTTP/1.0 200 OK\r\n")
+        assert set(openmetrics.parse(response.split(b"\r\n\r\n", 1)[1].decode())) == FAMILY_NAMES
+    finally:
+        agent.stop()
 
 
 def test_engine_loop_runs_on_monotonic_deadlines(tmp_path, monkeypatch):

@@ -19,13 +19,12 @@ from buoyancy import (
     SchemaError,
     SloSpec,
     TelemetrySample,
-    demo_plant_config,
     fit_mrc,
 )
 from buoyancy import sources
 from buoyancy.sources import _SCHEMA, parse_telemetry_record
 
-from .conftest import no_unclosed_file, record_dict, two_workload_replay, write_jsonl
+from .conftest import TABLE_TOPO, bundled_plant_config, no_unclosed_file, record_dict, two_workload_replay, write_jsonl
 from .oracles import miss_ratios, parse_record_reference, plant_step_reference
 
 
@@ -169,11 +168,40 @@ _GOOD = [record_dict(workload_id="w1"), record_dict(workload_id="w2")]
             ("line", 3),
             id="deeply-nested-line",
         ),
+        # A byte that is not UTF-8 is written from its surrogate escape, "\udcff" for 0xff.
+        pytest.param(
+            [json.dumps(r) for r in _GOOD] + [json.dumps(record_dict(window_index=1)).replace('"w1"', '"w\udcff"')],
+            _GOOD,
+            SchemaError,
+            ("field", "workload_id"),
+            id="byte-not-utf8-in-workload-id",
+        ),
+        pytest.param(
+            [json.dumps(r) for r in _GOOD] + [json.dumps(record_dict(window_index=1)).replace('"w1"', '"w\\ud800"')],
+            _GOOD,
+            SchemaError,
+            ("field", "workload_id"),
+            id="escaped-lone-surrogate-in-workload-id",
+        ),
+        pytest.param(
+            [json.dumps(r) for r in _GOOD] + [json.dumps(record_dict(window_index=1)).replace("{", "{\udcff", 1)],
+            _GOOD,
+            ParseError,
+            ("line", 3),
+            id="byte-not-utf8-outside-a-string",
+        ),
+        pytest.param(
+            [json.dumps(r) for r in _GOOD] + [json.dumps(record_dict(window_index=1)).replace("Z", "\udcff", 1)],
+            _GOOD,
+            SchemaError,
+            ("field", "window_start"),
+            id="byte-not-utf8-in-timestamp",
+        ),
     ],
 )
 def test_replay_bad_line_ends_stream(tmp_path, monkeypatch, lines, delivered, error, where):
     path = tmp_path / "bad.jsonl"
-    path.write_text("".join(line + "\n" for line in lines))
+    path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8", "surrogateescape"))
 
     # A function, so that the source is unreachable when the block collects.
     def replay():
@@ -475,7 +503,7 @@ def _single_plant(noise=0.0, seed=1, **overrides):
     workload.update(overrides)
     return PlantConfig(
         workloads=(PlantWorkload(**workload),),
-        topology=demo_plant_config().topology,
+        topology=TABLE_TOPO,
         total_cores=8.0,
         seed=seed,
         noise_sigma=noise,
@@ -642,7 +670,7 @@ def _parity_plant(seed, noise):
 
     return PlantConfig(
         workloads=(workload("web", 48.0, 0.8), workload("batch", 600.0, 0.2), workload("stall", 20.0, 1.0)),
-        topology=demo_plant_config().topology,
+        topology=TABLE_TOPO,
         total_cores=12.0,
         seed=seed,
         noise_sigma=noise,
@@ -691,8 +719,8 @@ def test_plant_timestamps_advance():
     assert second[0].window_start == first[0].window_end
 
 
-def test_demo_plant_config_is_valid():
-    cfg = demo_plant_config()
+def test_bundled_plant_config_is_valid():
+    cfg = bundled_plant_config()
     assert next(w for w in cfg.workloads if w.id == "webapp").working_set_kib < cfg.topology.l1_size_kib
     plant = ContentionPlant(cfg)
     batch, _ = plant.step({"webapp": Allocation(cores=4.0, llc_kib=2048.0, load_rps=40.0)})
@@ -702,5 +730,7 @@ def test_demo_plant_config_is_valid():
 def test_plant_workload_validation():
     with pytest.raises(ValueError):
         PlantWorkload("x", 0.0, 2.0, 1600.0, 48.0, 1e6)
+    with pytest.raises(ValueError, match="id must be valid UTF-8"):
+        PlantWorkload("w\ud800", 100.0, 2.0, 1600.0, 48.0, 1e6)
     with pytest.raises(ValueError):
         PlantWorkload("x", 100.0, 2.0, 1600.0, 48.0, 1e6, interference_sensitivity=1.5)
