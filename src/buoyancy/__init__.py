@@ -19,11 +19,8 @@ from .engine import (
 )
 from .errors import (
     BuoyancyError,
-    CapacityExceeded,
     ConfigError,
-    EmptyNode,
     InsufficientData,
-    NonPositiveInput,
     ParseError,
     SchemaError,
 )
@@ -57,16 +54,13 @@ __all__ = [
     "BuoyancyError",
     "BuoyancyReport",
     "CacheTopology",
-    "CapacityExceeded",
     "ConfigError",
     "ContentionPlant",
-    "EmptyNode",
     "Engine",
     "EngineConfig",
     "InsufficientData",
     "MrcFit",
     "NodeReport",
-    "NonPositiveInput",
     "ParseError",
     "PlantConfig",
     "PlantSource",

@@ -17,9 +17,9 @@ import statistics
 from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Sequence
 
-from .config import AgentConfig, build, read_json
+from .config import AgentConfig, _lookup, build, read_json
 from .engine import DEFAULT_ALPHA, EngineConfig, buoyancy, log_change
-from .errors import ConfigError, InsufficientData, SchemaError
+from .errors import ConfigError, InsufficientData
 from .model import DEFAULT_VIOLATION_THRESHOLD
 from .sources import ReplaySource
 
@@ -33,6 +33,19 @@ class WorkloadMedians:
     p95_high_ms: float
     buoyancy_low: float
     buoyancy_high: float
+
+
+@dataclass(frozen=True, slots=True)
+class Segments:
+    """The low- and high-load window index ranges [start, end) of a replay analysis."""
+
+    low: tuple[int, ...]
+    high: tuple[int, ...]
+
+    def __post_init__(self):
+        for name, span in (("low", self.low), ("high", self.high)):
+            if len(span) != 2 or not 0 <= span[0] < span[1]:
+                raise ValueError(f"{name} must be [start, end] with 0 <= start < end, got {list(span)}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,9 +75,11 @@ def analyze_medians(medians: Sequence[WorkloadMedians]) -> HeadroomReport:
         raise InsufficientData("no workloads to analyze")
     rows = []
     for m in medians:
-        # log_change owns the positivity rule, so it runs before the divisions.
-        latency_log_change = log_change(m.p95_low_ms, m.p95_high_ms)
-        buoyancy_log_change = log_change(m.buoyancy_low, m.buoyancy_high)
+        try:  # log_change owns the positivity rule, so it runs before the divisions
+            latency_log_change = log_change(m.p95_low_ms, m.p95_high_ms)
+            buoyancy_log_change = log_change(m.buoyancy_low, m.buoyancy_high)
+        except ValueError as exc:
+            raise InsufficientData(f"workload {m.workload_id!r}: {exc}") from None
         rows.append(
             HeadroomRow(
                 workload_id=m.workload_id,
@@ -90,27 +105,23 @@ def analyze_medians(medians: Sequence[WorkloadMedians]) -> HeadroomReport:
 
 
 def load_medians_file(path: str) -> list[WorkloadMedians]:
-    """Read a medians table: {"workloads": [{workload_id, p95_low_ms, ...}]}."""
+    """Read a medians table: {"workloads": [{workload_id, p95_low_ms, ...}, ...]}, at least one."""
     obj = read_json(path, "medians file")
-    entries = obj.get("workloads") if isinstance(obj, dict) else None
-    if not isinstance(entries, list) or not entries:
-        raise SchemaError("workloads", "medians file needs a non-empty workload list")
-    try:
-        return list(build(tuple[WorkloadMedians, ...], entries, "medians.workloads"))
-    except ConfigError as exc:
-        raise SchemaError("workloads", str(exc)) from None
+    medians = build(tuple[WorkloadMedians, ...], *_lookup(obj, ("workloads",), "medians"))
+    if not medians:
+        raise ConfigError("medians.workloads: a medians file needs a non-empty workload list")
+    return list(medians)
 
 
 def analyze_replay(
     replay_path: str,
     config: AgentConfig,
-    segments: Optional[dict[str, tuple[int, int]]] = None,
+    segments: Optional[Segments] = None,
 ) -> HeadroomReport:
     """Run a replay through the engine and compare segment medians.
 
-    ``segments`` maps {"low": (start, end), "high": (start, end)} window
-    index ranges (end exclusive). By default the replay is split into
-    equal halves: first half low, second half high.
+    By default the replay is split into equal halves of ``Segments``:
+    first half low, second half high.
     """
     engine = config.new_engine()
     kpi: dict[str, list[tuple[int, float]]] = {}
@@ -130,12 +141,9 @@ def analyze_replay(
             raise InsufficientData(
                 f"need at least 2 windows to form low/high segments, got {n_windows}"
             )
-        segments = {"low": (0, n_windows // 2), "high": (n_windows // 2, n_windows)}
-    for name in ("low", "high"):
-        if name not in segments:
-            raise InsufficientData(f"missing segment {name!r}")
+        segments = Segments((0, n_windows // 2), (n_windows // 2, n_windows))
 
-    def median_in(series: list[tuple[int, float]], span: tuple[int, int], what: str) -> float:
+    def median_in(series: list[tuple[int, float]], span: tuple[int, ...], what: str) -> float:
         values = [v for i, v in series if span[0] <= i < span[1]]
         if not values:
             raise InsufficientData(f"no {what} observations in windows [{span[0]}, {span[1]})")
@@ -148,10 +156,10 @@ def analyze_replay(
         medians.append(
             WorkloadMedians(
                 workload_id=wid,
-                p95_low_ms=median_in(kpi[wid], segments["low"], "KPI"),
-                p95_high_ms=median_in(kpi[wid], segments["high"], "KPI"),
-                buoyancy_low=median_in(buoy[wid], segments["low"], "buoyancy"),
-                buoyancy_high=median_in(buoy[wid], segments["high"], "buoyancy"),
+                p95_low_ms=median_in(kpi[wid], segments.low, "KPI"),
+                p95_high_ms=median_in(kpi[wid], segments.high, "KPI"),
+                buoyancy_low=median_in(buoy[wid], segments.low, "buoyancy"),
+                buoyancy_high=median_in(buoy[wid], segments.high, "buoyancy"),
             )
         )
     return analyze_medians(medians)

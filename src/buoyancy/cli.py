@@ -21,7 +21,7 @@ import signal
 import sys
 
 from .config import AgentConfig, build, plant_config_from_dict, read_json
-from .errors import BuoyancyError, CapacityExceeded, ConfigError
+from .errors import BuoyancyError, ConfigError
 from .engine import DEFAULT_ALPHA
 from .server import MetricsAgent, report_to_json
 from .sources import Allocation
@@ -87,16 +87,7 @@ def cmd_analyze(args) -> int:
                 raw = json.loads(args.segments)
             except ValueError as exc:
                 raise ConfigError(f"--segments is not valid JSON: {exc}") from None
-            segments = build(dict[str, tuple[int, ...]], raw, "--segments")
-            for name, span in segments.items():
-                if len(span) != 2:
-                    raise ConfigError(f"--segments.{name}: expected [start, end], got {list(span)}")
-            for name in ("low", "high"):  # other names are ignored, as unknown config keys are
-                span = segments.get(name)
-                if span is None:
-                    raise ConfigError(f"--segments.{name}: missing")
-                if not 0 <= span[0] < span[1]:
-                    raise ConfigError(f"--segments.{name}: expected 0 <= start < end, got {list(span)}")
+            segments = build(analysis.Segments, raw, "--segments")
         report = analysis.analyze_replay(args.input, config, segments=segments)
     else:
         report = analysis.analyze_medians(analysis.load_medians_file(args.input))
@@ -128,14 +119,14 @@ def cmd_controller_sim(args) -> int:
         read_json(args.ctrl, "controller config")
     )
     schedule = controller.InterferenceSchedule.from_file(args.schedule)
+    if experiment.workload_id not in {w.id for w in plant_config.workloads}:
+        raise ConfigError(
+            f"controller.experiment.workload_id: {experiment.workload_id!r} is not in {args.plant!r}"
+        )
     widest = Allocation(cores=ctrl_config.max_cores, llc_kib=experiment.llc_alloc_kib)
     try:
         plant_config.check_allocations({experiment.workload_id: widest})
-    except ValueError:
-        raise ConfigError(
-            f"controller.experiment.workload_id: {experiment.workload_id!r} is not in {args.plant!r}"
-        ) from None
-    except CapacityExceeded as exc:
+    except ValueError as exc:
         raise ConfigError(
             f"controller: actuation_bounds.max_cores with experiment.llc_alloc_kib "
             f"does not fit {args.plant!r}: {exc}"

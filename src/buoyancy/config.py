@@ -13,10 +13,11 @@ fields, and a bad config fails here, before the first window is scored.
 import dataclasses
 import json
 import math
+import threading
 from typing import Any, Optional, Union, get_args, get_origin
 
 from .engine import Engine, EngineConfig
-from .errors import BuoyancyError, ConfigError
+from .errors import ConfigError
 from .model import CacheTopology, SloSpec
 from .sources import Allocation, PlantConfig
 
@@ -99,7 +100,7 @@ def build(tp: Any, value: Any, where: str) -> Any:
             kwargs[f.name] = build(f.type, raw, at)
     try:
         return tp(**kwargs)
-    except (ValueError, BuoyancyError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
 
@@ -130,8 +131,8 @@ class AgentConfig:
 
     def __post_init__(self):
         self.new_engine()  # the engine's own rules reject a bad node_cores at load
-        if self.window_s <= 0:
-            raise ValueError(f"window_s must be > 0, got {self.window_s}")
+        if not 0 < self.window_s <= threading.TIMEOUT_MAX:  # the engine loop waits up to one window
+            raise ValueError(f"window_s must be in (0, {threading.TIMEOUT_MAX:g}], got {self.window_s}")
         if self.source_type == "replay":
             if self.replay_path is None:
                 raise ValueError("a replay source needs source.path")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from typing import Mapping, Optional, Sequence
 
-from .errors import EmptyNode, NonPositiveInput, SchemaError
+from .errors import SchemaError
 from .model import (
     DEFAULT_VIOLATION_THRESHOLD,
     BuoyancyReport,
@@ -105,7 +105,7 @@ def buoyancy(p: float, scores: Sequence[float], alpha: float = DEFAULT_ALPHA) ->
 def node_buoyancy(buoyancies: Sequence[float], alpha: float = DEFAULT_ALPHA) -> float:
     """Node-level buoyancy: alpha-blend of the minimum and the mean."""
     if not buoyancies:
-        raise EmptyNode("node has no workload buoyancy scores")
+        raise ValueError("node has no workload buoyancy scores")
     mn = min(buoyancies)
     mean = math.fsum(buoyancies) / len(buoyancies)
     if mn == mean:
@@ -132,7 +132,7 @@ def node_resource_scores(
     workload scores.
     """
     if not llc_scores:
-        raise EmptyNode("node has no samples to aggregate")
+        raise ValueError("node has no samples to aggregate")
     cpu = min(math.fsum(cpu_user_time_s) / (node_cores * window_s), 1.0)
     mbw = min(math.fsum(mbw_bytes) / window_s / peak_mbw, 1.0)
     return ResourceScores(cpu, math.fsum(llc_scores) / len(llc_scores), mbw)
@@ -141,7 +141,7 @@ def node_resource_scores(
 def log_change(low: float, high: float) -> float:
     """ln(high/low): symmetric growth measure for rising or falling metrics."""
     if low <= 0 or high <= 0:
-        raise NonPositiveInput(f"log_change needs positive values, got ({low}, {high})")
+        raise ValueError(f"log_change needs positive values, got ({low}, {high})")
     return math.log(high / low)
 
 
@@ -185,7 +185,7 @@ class Engine:
         ``node_buoyancy`` aggregate into the node figures.
         """
         if not batch:
-            raise EmptyNode("empty telemetry batch")
+            raise ValueError("empty telemetry batch")
         states = self._state
         seen = set()
         # Node CPU and MBW divide by one window length: the first sample's.

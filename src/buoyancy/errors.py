@@ -6,23 +6,14 @@
 * ``ConfigError``: an unusable setting, such as a config that cannot be read
   or built, an unreadable replay, an unwritable ``--out`` or an address that
   cannot be bound. The CLI exits 1.
-* Telemetry raises ``ParseError`` or ``SchemaError``, and allocations over
-  the node's capacity raise ``CapacityExceeded``.
-* Run-time faults (``EmptyNode``, ``NonPositiveInput``, ``InsufficientData``)
-  and every other ``BuoyancyError`` make the CLI exit 2.
+* Telemetry raises ``ParseError`` or ``SchemaError``.
+* ``InsufficientData``, data an analysis cannot compute from, and every
+  other ``BuoyancyError`` make the CLI exit 2.
 """
 
 
 class BuoyancyError(Exception):
     """Base class for the errors this package defines; a rule or argument violation is a ``ValueError``."""
-
-
-class EmptyNode(BuoyancyError):
-    """Node aggregation was requested over zero workloads."""
-
-
-class NonPositiveInput(BuoyancyError):
-    """log_change requires strictly positive inputs."""
 
 
 class ParseError(BuoyancyError):
@@ -45,10 +36,6 @@ class SchemaError(BuoyancyError):
     def __init__(self, field: str, message: str = ""):
         super().__init__(f"field {field!r}: {message}" if message else f"field {field!r}")
         self.field = field
-
-
-class CapacityExceeded(BuoyancyError):
-    """Requested allocations exceed the node's capacity."""
 
 
 class InsufficientData(BuoyancyError):

@@ -134,7 +134,7 @@ class TelemetrySample:
     l2_miss: int
     l3_miss: int
     mbw_bytes: int
-    mbw_alloc_bytes_per_s: Optional[float] = None
+    mbw_alloc_bytes_per_s: Optional[int] = None
     llc_alloc_kib: Optional[float] = None
     kpi_value: Optional[float] = None
 

@@ -28,14 +28,17 @@ import math
 import random
 from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
-from typing import IO, Iterator, Mapping, Optional
+from typing import IO, Iterator, Mapping, Optional, Union, get_args, get_origin
 
-from .errors import CapacityExceeded, ConfigError, ParseError, SchemaError
+from .errors import ConfigError, ParseError, SchemaError
 from .model import CacheTopology, TelemetrySample, find_surrogate, value_type
 
 log = logging.getLogger(__name__)
 
 _EPOCH = datetime(2026, 1, 1, tzinfo=timezone.utc)
+#: The longest plant window, in whole seconds: the first window, stamped from
+#: ``_EPOCH``, must end by ``datetime.max``.
+_LONGEST_WINDOW_S = (datetime.max.replace(tzinfo=timezone.utc) - _EPOCH) // timedelta(seconds=1)
 
 #: Synthetic memory references issued per request.
 REFS_PER_REQUEST = 10_000
@@ -49,22 +52,16 @@ OVERLOAD_MULTIPLIER = 10.0
 # JSONL replay
 # --------------------------------------------------------------------------
 
-_SCHEMA = {
-    # field -> (accepted types, allow null)
-    "workload_id": (str, False),
-    "window_start": (str, False),
-    "window_end": (str, False),
-    "cpu_user_time_s": ((int, float), False),
-    "cpu_alloc_cores": ((int, float), False),
-    "mem_refs": (int, False),
-    "l1_miss": (int, False),
-    "l2_miss": (int, False),
-    "l3_miss": (int, False),
-    "mbw_bytes": (int, False),
-    "mbw_alloc_bytes_per_s": (int, True),
-    "llc_alloc_kib": ((int, float), True),
-    "kpi_value": ((int, float), True),
-}
+def _accepts(tp) -> tuple:
+    """The JSON types a ``TelemetrySample`` field of type ``tp`` takes, and whether it may be null."""
+    nullable = get_origin(tp) is Union  # Optional[X]
+    tp = get_args(tp)[0] if nullable else tp
+    return {float: (int, float), datetime: str}.get(tp, tp), nullable
+
+
+#: field -> (accepted JSON types, allow null), read off ``TelemetrySample``: a
+#: float takes an int, a timestamp is a string, and an Optional field takes null.
+_SCHEMA = {f.name: _accepts(f.type) for f in fields(TelemetrySample)}
 
 #: ``parse_telemetry_record`` is compiled from these templates, one block per
 #: ``_SCHEMA`` field in schema order. A ``type()`` test against exact types
@@ -79,8 +76,7 @@ _HEAD = """def parse_telemetry_record(obj, strict=True):
         for key in obj:
             if key not in _SCHEMA:
                 if strict:
-                    raise SchemaError(key, "unknown field")
-                log.warning("ignoring unknown telemetry field %r", key)"""
+                    raise SchemaError(key, "unknown field")"""
 _FIELD = """
     try:
         {key} = obj["{key}"]
@@ -106,7 +102,7 @@ def _compile_parser():
             null="" if nullable else f'"must not be null" if {key} is None else ',
             types=types,
         )
-    source += _TIMESTAMP.format(key="window_start") + _TIMESTAMP.format(key="window_end")
+    source += "".join(_TIMESTAMP.format(key=f.name) for f in fields(TelemetrySample) if f.type is datetime)
     source += f"\n    return TelemetrySample({', '.join(f.name for f in fields(TelemetrySample))})"
     exec(source, globals(), defined := {})
     return defined["parse_telemetry_record"]
@@ -128,11 +124,13 @@ def _read_batches(fh: IO[str], strict: bool) -> Iterator[list[TelemetrySample]]:
     the value; any other line goes to ``json.loads``, which accepts it (a
     blank line is skipped) or raises the error reported for it. Window
     boundaries show only one record ahead, so on a bad line the batch read
-    before it is yielded first; the error then ends the stream.
+    before it is yielded first; the error then ends the stream. When not
+    ``strict``, each unknown field name is logged once, with its first line.
     """
     with fh:
         batch: list[TelemetrySample] = []
         window = None
+        warned: set[str] = set()
         try:
             for line_no, line in enumerate(fh, 1):
                 try:
@@ -148,6 +146,11 @@ def _read_batches(fh: IO[str], strict: bool) -> Iterator[list[TelemetrySample]]:
                     except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, or too deep
                         raise ParseError(line_no, str(exc)) from None
                 sample = parse_telemetry_record(obj, strict=strict)
+                if not strict and obj.keys() != _SCHEMA.keys():
+                    for key in obj:
+                        if key not in _SCHEMA and key not in warned:
+                            warned.add(key)
+                            log.warning("line %d: ignoring unknown telemetry field %r", line_no, key)
                 if (sample.window_start, sample.window_end) != window:
                     if batch:
                         yield batch
@@ -271,8 +274,8 @@ class PlantConfig:
     def __post_init__(self):
         if self.total_cores <= 0:
             raise ValueError("total_cores must be > 0")
-        if self.window_s <= 0:
-            raise ValueError("window_s must be > 0")
+        if not 0 < self.window_s <= _LONGEST_WINDOW_S:
+            raise ValueError(f"window_s must be in (0, {_LONGEST_WINDOW_S}], got {self.window_s}")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
         ids = [w.id for w in self.workloads]
@@ -280,16 +283,16 @@ class PlantConfig:
             raise ValueError("workload ids must be unique")
 
     def check_allocations(self, allocations: Mapping[str, Allocation]) -> None:
-        """Raise ValueError for an id the plant lacks, then CapacityExceeded past the node's cores or LLC."""
+        """Raise ValueError for an id the plant lacks, then for allocations past the node's cores or LLC."""
         unknown = allocations.keys() - {w.id for w in self.workloads}
         if unknown:
             raise ValueError(f"allocations name workloads the plant lacks: {sorted(unknown)}")
         cores = math.fsum(a.cores for a in allocations.values())
         if cores > self.total_cores + 1e-9:
-            raise CapacityExceeded(f"allocated {cores} cores on a {self.total_cores}-core node")
+            raise ValueError(f"allocated {cores} cores on a {self.total_cores}-core node")
         llc = math.fsum(a.llc_kib for a in allocations.values() if a.llc_kib is not None)
         if llc > self.topology.l3_size_kib + 1e-9:
-            raise CapacityExceeded(f"allocated {llc} KiB of a {self.topology.l3_size_kib} KiB LLC")
+            raise ValueError(f"allocated {llc} KiB of a {self.topology.l3_size_kib} KiB LLC")
 
 
 class ContentionPlant:

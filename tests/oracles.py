@@ -15,7 +15,6 @@ OpenMetrics renderer is the one that ``render_openmetrics`` replaced, and ``_jso
 for byte.
 """
 
-import logging
 import math
 from datetime import datetime, timedelta, timezone
 from operator import attrgetter
@@ -24,13 +23,12 @@ import numpy as np
 
 from buoyancy.controller import MODE_LATENCY, ExtremumSeeker
 from buoyancy.engine import NodeReport, _WorkloadState, node_buoyancy, perf_score
-from buoyancy.errors import BuoyancyError, EmptyNode, SchemaError
+from buoyancy.errors import BuoyancyError, SchemaError
 from buoyancy.exposition import _NODE_METRICS, _WORKLOAD_METRICS, _escape_help, _escape_label
 from buoyancy.model import BuoyancyReport, ResourceScores, TelemetrySample, llc_way_size, theoretical_max_mbw
 from buoyancy.scores import MrcFit, score_workload
 from buoyancy.sources import _SCHEMA, REFS_PER_REQUEST
 
-_log = logging.getLogger("buoyancy.sources")
 
 _PLANT_EPOCH = datetime(2026, 1, 1, tzinfo=timezone.utc)
 
@@ -212,9 +210,9 @@ def _parse_rfc3339(value, field):
 def parse_record_reference(obj, strict=True):
     """The table-driven record parser that the generated ``parse_telemetry_record`` replaced.
 
-    Its errors, their fields, messages and precedence, and its warnings
-    are the reference for the generated function. It checks JSON shape
-    only; every number rule is ``TelemetrySample``'s.
+    Its errors, their fields, messages and precedence are the reference
+    for the generated function, which logs nothing either. It checks JSON
+    shape only; every number rule is ``TelemetrySample``'s.
     """
     if not isinstance(obj, dict):
         raise SchemaError("<record>", "each line must be a JSON object")
@@ -223,7 +221,6 @@ def parse_record_reference(obj, strict=True):
             if key not in _SCHEMA:
                 if strict:
                     raise SchemaError(key, "unknown field")
-                _log.warning("ignoring unknown telemetry field %r", key)
     fields = {}
     for key, exact, nullable, expected in _CHECKS:
         try:
@@ -245,7 +242,7 @@ def parse_record_reference(obj, strict=True):
 def node_resource_scores_reference(scored, topology, node_cores):
     """Node resource scores over one window's (sample, scores) pairs: the form ``node_resource_scores`` replaced."""
     if not scored:
-        raise EmptyNode("node has no samples to aggregate")
+        raise ValueError("node has no samples to aggregate")
     window = scored[0][0].window_s
     cpu_total = math.fsum(s.cpu_user_time_s for s, _ in scored)
     mbw_total = math.fsum(s.mbw_bytes for s, _ in scored) / window
@@ -265,7 +262,7 @@ def engine_step_reference(engine, batch):
     updates ``engine``'s state exactly as the engine does.
     """
     if not batch:
-        raise EmptyNode("empty telemetry batch")
+        raise ValueError("empty telemetry batch")
     seen = set()
     window = (batch[0].window_start, batch[0].window_end)
     for sample in batch:

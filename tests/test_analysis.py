@@ -5,6 +5,7 @@ import math
 import pytest
 
 from buoyancy.analysis import (
+    Segments,
     SurfacePoint,
     WorkloadMedians,
     analyze_medians,
@@ -15,7 +16,8 @@ from buoyancy.analysis import (
     load_medians_file,
     surface_points,
 )
-from buoyancy.errors import InsufficientData, NonPositiveInput, SchemaError
+from buoyancy.config import build
+from buoyancy.errors import ConfigError, InsufficientData
 from buoyancy.server import AgentConfig
 
 from .conftest import record_dict, write_jsonl
@@ -52,7 +54,7 @@ def test_medians_empty_rejected():
 
 
 def test_medians_nonpositive_buoyancy_rejected():
-    with pytest.raises(NonPositiveInput):
+    with pytest.raises(InsufficientData, match=r"^workload 'w': log_change needs positive values, got \(-0\.1, 0\.2\)$"):
         analyze_medians([WorkloadMedians("w", 5.0, 6.0, -0.1, 0.2)])
 
 
@@ -69,14 +71,14 @@ def test_medians_file_loading(tmp_path):
 def test_medians_file_schema_error(tmp_path):
     path = tmp_path / "medians.json"
     path.write_text('{"workloads": [{"workload_id": "x"}]}')
-    with pytest.raises(SchemaError):
+    with pytest.raises(ConfigError, match=r"^medians\.workloads\[0\]\.p95_low_ms: missing$"):
         load_medians_file(str(path))
 
 
 def test_medians_file_empty_workload_list(tmp_path):
     path = tmp_path / "medians.json"
     path.write_text('{"workloads": []}')
-    with pytest.raises(SchemaError, match="non-empty workload list"):
+    with pytest.raises(ConfigError, match="non-empty workload list"):
         load_medians_file(str(path))
 
 
@@ -118,7 +120,7 @@ def test_replay_analysis_matches_direct_computation(tmp_path, topo):
 def test_replay_analysis_explicit_segments(tmp_path, topo):
     path = _two_phase_replay(tmp_path, low_windows=2, high_windows=6)
     config = AgentConfig.from_dict(_agent_config_dict(path))
-    report = analyze_replay(path, config, segments={"low": (0, 2), "high": (2, 8)})
+    report = analyze_replay(path, config, segments=Segments((0, 2), (2, 8)))
     assert report.rows[0].p95_low_ms == 4.0
     assert report.rows[0].p95_high_ms == 8.0
 
@@ -130,11 +132,9 @@ def test_replay_analysis_insufficient_windows(tmp_path):
         analyze_replay(path, config)
 
 
-def test_replay_analysis_missing_segment(tmp_path):
-    path = _two_phase_replay(tmp_path)
-    config = AgentConfig.from_dict(_agent_config_dict(path))
-    with pytest.raises(InsufficientData):
-        analyze_replay(path, config, segments={"low": (0, 4)})
+def test_replay_analysis_missing_segment():
+    with pytest.raises(ConfigError, match=r"^--segments\.high: missing$"):
+        build(Segments, {"low": [0, 4]}, "--segments")
 
 
 def test_replay_analysis_needs_kpi(tmp_path):
@@ -149,7 +149,7 @@ def test_replay_analysis_segment_without_observations(tmp_path):
     path = _two_phase_replay(tmp_path)
     config = AgentConfig.from_dict(_agent_config_dict(path))
     with pytest.raises(InsufficientData, match=r"no KPI observations in windows \[8, 10\)"):
-        analyze_replay(path, config, segments={"low": (0, 4), "high": (8, 10)})
+        analyze_replay(path, config, segments=Segments((0, 4), (8, 10)))
 
 
 # ---------------------------------------------------------------- formatting

@@ -178,7 +178,9 @@ _BUNDLED_SIM = ["--plant", "configs/controller_plant.json", "--ctrl", "configs/c
         pytest.param(["controller-sim", *_BUNDLED_SIM, "--out", "{tmp}/no/x.csv"], 1,
                      "config error: cannot write '{tmp}/no/x.csv': ", id="controller-sim-out"),
         pytest.param(["analyze", "--input", "{tmp}/zero-median.json"], 2,
-                     "error: log_change needs positive values, got (0.0, 11.43)", id="zero-median"),
+                     "error: workload 'moses': log_change needs positive values, got (0.0, 11.43)", id="zero-median"),
+        pytest.param(["analyze", "--input", "{tmp}/bad-median.json"], 1,
+                     'config error: medians.workloads[0].p95_low_ms: expected a number, got "8.54"', id="bad-median"),
         pytest.param(["analyze", "--input", "{tmp}/bad-byte.jsonl", "--slo", "{tmp}/agent.json"], 2,
                      "error: field 'workload_id': must be valid UTF-8", id="replay-byte-not-utf8"),
         pytest.param(["serve", "--config", "configs/agent_replay.json", "--listen", "127.0.0.1:99999"], 1,
@@ -197,6 +199,8 @@ def test_cli_failure_is_one_line_and_an_exit_code(tmp_path, argv, code, last_lin
         medians = json.load(fh)
     medians["workloads"][0]["p95_low_ms"] = 0
     (tmp_path / "zero-median.json").write_text(json.dumps(medians))
+    medians["workloads"][0]["p95_low_ms"] = "8.54"
+    (tmp_path / "bad-median.json").write_text(json.dumps(medians))
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(buoyancy.__file__)))
     result = subprocess.run(
         [sys.executable, "-m", "buoyancy.cli", *(arg.format(tmp=tmp_path) for arg in argv)],

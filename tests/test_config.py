@@ -8,6 +8,7 @@ and must exit 1 with a ``config error:`` line before any window runs.
 import json
 import math
 import os
+import threading
 
 import pytest
 
@@ -59,6 +60,7 @@ BAD_CONFIGS = [
     ("agent-node-cores-zero", "agent_replay.json", ("node_cores",), 0, "config"),
     ("agent-node-cores-bool", "agent_replay.json", ("node_cores",), True, "config.node_cores"),
     ("agent-window-zero", "agent_replay.json", ("window_s",), 0, "config"),
+    ("agent-window-past-timeout-max", "agent_plant.json", ("window_s",), 1e300, "config"),
     ("agent-node-cores-huge", "agent_replay.json", ("node_cores",), 10**400, "config.node_cores"),
     ("agent-allocation-unknown-workload", "agent_plant.json", ("source", "allocations", "nope"),
      {"cores": 1}, "config"),
@@ -88,6 +90,7 @@ BAD_CONFIGS = [
     ("plant-workload-ids-duplicate", "controller_plant.json", ("workloads",), [_TWIN, _TWIN], "plant"),
     ("plant-total-cores-zero", "controller_plant.json", ("total_cores",), 0, "plant"),
     ("plant-window-zero", "controller_plant.json", ("window_s",), 0, "plant"),
+    ("plant-window-past-datetime-max", "controller_plant.json", ("window_s",), 1e300, "plant"),
     ("plant-noise-negative", "controller_plant.json", ("noise_sigma",), -0.01, "plant"),
     ("experiment-repetitions-zero", "controller_buoyancy.json", ("experiment", "repetitions"), 0,
      "controller.experiment"),
@@ -165,6 +168,15 @@ def test_missing_field_is_named(path):
     parent, key = _parent(obj, path)
     del parent[key]
     with pytest.raises(ConfigError, match=rf"^config\.{'.'.join(path)}: missing$"):
+        AgentConfig.from_dict(obj)
+
+
+def test_window_s_may_be_the_longest_wait_the_engine_loop_accepts():
+    obj = _bundled("agent_replay.json")
+    obj["window_s"] = threading.TIMEOUT_MAX
+    assert AgentConfig.from_dict(obj).window_s == threading.TIMEOUT_MAX
+    obj["window_s"] = math.nextafter(threading.TIMEOUT_MAX, math.inf)
+    with pytest.raises(ConfigError, match=r"^config: window_s must be in \(0, "):
         AgentConfig.from_dict(obj)
 
 

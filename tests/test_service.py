@@ -1,5 +1,6 @@
 import dataclasses
 import errno
+import io
 import json
 import logging
 import math
@@ -21,7 +22,7 @@ from buoyancy import httpd, server as server_module
 from buoyancy.exposition import CONTENT_TYPE, render_openmetrics
 from buoyancy.httpd import make_server
 from buoyancy.server import AgentConfig, MetricsAgent, report_to_json
-from buoyancy.errors import ConfigError, EmptyNode
+from buoyancy.errors import ConfigError
 
 from . import openmetrics
 from .oracles import _json_default, render_openmetrics_reference
@@ -248,8 +249,14 @@ def test_report_json_is_strict_json_for_valid_samples(windows, slo):
 # -------------------------------------------------------------------- server
 
 def _get(url, timeout=5.0):
-    with urllib.request.urlopen(url, timeout=timeout) as resp:
-        return resp.status, resp.headers.get("Content-Type"), resp.read().decode()
+    """GET ``url``; an error answer raises an ``HTTPError`` that holds its body, its socket closed."""
+    try:
+        with urllib.request.urlopen(url, timeout=timeout) as resp:
+            return resp.status, resp.headers.get("Content-Type"), resp.read().decode()
+    except urllib.error.HTTPError as exc:
+        with exc:
+            body = exc.read()
+        raise urllib.error.HTTPError(exc.url, exc.code, exc.msg, exc.headers, io.BytesIO(body)) from None
 
 
 @pytest.fixture
@@ -476,12 +483,12 @@ def test_empty_window_stops_the_loop_instead_of_keeping_the_last(tmp_path):
             pass
 
     agent._source = EmptySource()
-    with pytest.raises(EmptyNode):
+    with pytest.raises(ValueError, match="^empty telemetry batch$"):
         agent.step_once()
     agent.start()
     agent._thread.join(timeout=5.0)
     assert not agent._thread.is_alive()
-    assert agent.error == "EmptyNode: empty telemetry batch"
+    assert agent.error == "ValueError: empty telemetry batch"
     assert agent.current_snapshot() is last  # what /metrics still holds; /healthz and serve report the error
     agent.stop()
 

@@ -2,6 +2,8 @@ import json
 import logging
 import math
 import statistics
+from dataclasses import replace
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -9,7 +11,6 @@ from hypothesis import strategies as st
 
 from buoyancy import (
     Allocation,
-    CapacityExceeded,
     ContentionPlant,
     Engine,
     ParseError,
@@ -83,6 +84,24 @@ def test_replay_unknown_field_lenient_warns(tmp_path, caplog):
         batch = ReplaySource(path, strict=False).next_batch()
     assert len(batch) == 1
     assert any("surprise" in message for message in caplog.messages)
+
+
+def test_replay_lenient_warns_once_per_unknown_field(tmp_path, caplog):
+    # 3 windows of 1,000 records that each carry gpu_util, and one later record that carries rack.
+    records = []
+    for window in range(3):
+        for i in range(1000):
+            records.append(dict(record_dict(workload_id=f"w{i}", window_index=window), gpu_util=0.5))
+    records[1499]["rack"] = "r1"
+    path = write_jsonl(tmp_path / "unknown.jsonl", records)
+    source = ReplaySource(path, strict=False)
+    with caplog.at_level("WARNING", logger="buoyancy.sources"):
+        delivered = sum(len(batch) for batch in source)
+    assert delivered == 3000
+    assert caplog.messages == [
+        "line 1: ignoring unknown telemetry field 'gpu_util'",
+        "line 1500: ignoring unknown telemetry field 'rack'",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -621,13 +640,13 @@ def test_plant_counter_noise_is_relative():
 
 def test_plant_core_capacity():
     plant = ContentionPlant(_single_plant())
-    with pytest.raises(CapacityExceeded):
+    with pytest.raises(ValueError, match=r"^allocated 9\.0 cores on a 8\.0-core node$"):
         plant.step({"svc": Allocation(cores=9.0, load_rps=10.0)})
 
 
 def test_plant_llc_capacity():
     plant = ContentionPlant(_single_plant())
-    with pytest.raises(CapacityExceeded):
+    with pytest.raises(ValueError, match=r"^allocated 20000\.0 KiB of a"):
         plant.step({"svc": Allocation(cores=1.0, llc_kib=20_000.0, load_rps=10.0)})
 
 
@@ -717,6 +736,14 @@ def test_plant_timestamps_advance():
     first, _ = plant.step({"svc": Allocation(cores=4.0, load_rps=10.0)})
     second, _ = plant.step({"svc": Allocation(cores=4.0, load_rps=10.0)})
     assert second[0].window_start == first[0].window_end
+
+
+def test_plant_window_is_at_most_what_a_datetime_holds():
+    longest = replace(_single_plant(), window_s=sources._LONGEST_WINDOW_S)
+    batch, _ = ContentionPlant(longest).step({"svc": Allocation(cores=4.0, load_rps=10.0)})
+    assert batch[0].window_end == datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc)
+    with pytest.raises(ValueError, match=r"^window_s must be in \(0, 251635075199\], got 251635075200$"):
+        replace(longest, window_s=sources._LONGEST_WINDOW_S + 1)
 
 
 def test_bundled_plant_config_is_valid():
