@@ -71,8 +71,8 @@ class NodeReport:
     node_resource_scores: ResourceScores
     node_buoyancy: float
     workload_reports: list[BuoyancyReport]
-    window_start: Optional[datetime] = None
-    window_end: Optional[datetime] = None
+    window_start: datetime
+    window_end: datetime
 
 
 def perf_score(k_curr: Optional[float], slo: Optional[SloSpec]) -> float:

@@ -3,13 +3,14 @@
 ``serve_forever`` runs a ``selectors`` loop over the non-blocking listener
 and its connections, in the thread that calls it: for ``serve``, the main
 thread. ``shutdown`` takes no lock, so a signal handler or the engine
-thread may call it, and the loop returns at once. A connection is read at
-once after ``accept`` and answered at once when its head is complete: at
-the blank line, past ``server.MAX_HEAD_BYTES``, or when the client
-half-closes after sending something. ``server._Handler`` builds the answer
-and the loop writes it. The loop waits on a socket only when a read or a
-write would block, and then keeps what is left to write. A connection that
-makes no progress for ``CONNECTION_TIMEOUT_S`` is closed unanswered.
+thread may call it, and the loop returns at once. A connection is
+registered for reading once, at ``accept``, read at once and answered at
+once when its head is complete: at the blank line, past
+``server.MAX_HEAD_BYTES``, or when the client half-closes after sending
+something. ``server._Handler`` returns the answer and the loop writes it;
+a write that would block switches the connection to writing. Each wake
+starts with one pass over the connections, which closes those that made
+no progress for ``CONNECTION_TIMEOUT_S`` and times the next wake.
 """
 
 import logging
@@ -33,7 +34,6 @@ class _Connection:
         self.conn = conn
         self.head = bytearray()
         self.response: Optional[memoryview] = None
-        self.events = 0  # what the selector waits for on this connection; 0 while unregistered
         self.deadline = monotonic() + CONNECTION_TIMEOUT_S
 
     def read(self) -> bool:
@@ -78,12 +78,11 @@ class HttpServer:
             selector.register(self._listener, selectors.EVENT_READ)
             try:
                 while not self._stopping:
-                    for key, _ in selector.select(self._timeout(selector)):
+                    for key, _ in selector.select(self._expire(selector)):
                         if key.data is None:
                             self._accept(selector)
                         else:
                             self._progress(selector, key.data)
-                    self._expire(selector)
             finally:
                 for key in list(selector.get_map().values()):
                     if key.data is not None:
@@ -103,22 +102,20 @@ class HttpServer:
     def server_close(self):
         self._listener.close()
 
-    def _timeout(self, selector) -> Optional[float]:
-        """Seconds to the nearest connection deadline or the end of an accept pause; None for neither."""
-        deadlines = [key.data.deadline for key in selector.get_map().values() if key.data is not None]
-        if self._accept_paused_until is not None:
-            deadlines.append(self._accept_paused_until)
-        return max(0.0, min(deadlines) - monotonic()) if deadlines else None
-
-    def _expire(self, selector):
+    def _expire(self, selector) -> Optional[float]:
+        """Close connections past their deadline and end a finished accept pause; seconds to the next, or None."""
         now = monotonic()
         if self._accept_paused_until is not None and now >= self._accept_paused_until:
             self._accept_paused_until = None
             selector.register(self._listener, selectors.EVENT_READ)
-        for key in list(selector.get_map().values()):
-            if key.data is not None and key.data.deadline <= now:
+        nearest = self._accept_paused_until
+        for connection in [key.data for key in selector.get_map().values() if key.data is not None]:
+            if connection.deadline <= now:
                 log.debug("http: connection dropped: no progress for %s s", CONNECTION_TIMEOUT_S)
-                self._close(selector, key.data)
+                self._close(selector, connection)
+            elif nearest is None or connection.deadline < nearest:
+                nearest = connection.deadline
+        return None if nearest is None else nearest - now
 
     def _accept(self, selector):
         try:
@@ -132,36 +129,27 @@ class HttpServer:
                 self._accept_paused_until = monotonic() + 0.05
             return
         conn.setblocking(False)
-        self._progress(selector, _Connection(conn))
+        key = selector.register(conn, selectors.EVENT_READ, _Connection(conn))
+        self._progress(selector, key.data)
 
     def _progress(self, selector, connection: _Connection):
         """Take one connection as far as its socket allows now: read, answer, write, close."""
         try:
             if connection.response is None:
                 if not connection.read():
-                    return self._wait(selector, connection, selectors.EVENT_READ)
+                    return
                 if not connection.head:  # the client closed without a request
                     return self._close(selector, connection)
                 connection.response = memoryview(_Handler(self._agent).respond(connection.head))
             if not connection.write():
-                return self._wait(selector, connection, selectors.EVENT_WRITE)
+                return selector.modify(connection.conn, selectors.EVENT_WRITE, connection)  # a no-op once switched
         except OSError as exc:  # the client went away
             log.debug("http: connection dropped: %s", exc)
         self._close(selector, connection)
 
     @staticmethod
-    def _wait(selector, connection: _Connection, events: int):
-        if connection.events:
-            selector.modify(connection.conn, events, connection)  # a no-op when nothing changes
-        else:
-            selector.register(connection.conn, events, connection)
-        connection.events = events
-
-    @staticmethod
     def _close(selector, connection: _Connection):
-        if connection.events:
-            selector.unregister(connection.conn)
-            connection.events = 0
+        selector.unregister(connection.conn)
         connection.conn.close()
 
 

@@ -22,7 +22,6 @@ a process that only steps the engine does not load it.
 import logging
 import re
 import threading
-from datetime import datetime
 from http import HTTPStatus
 from json.encoder import encode_basestring_ascii
 from time import monotonic
@@ -49,10 +48,6 @@ def _number(value: float) -> str:
     return "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity")
 
 
-def _instant(value: Optional[datetime]) -> str:
-    return "null" if value is None else f'"{value.isoformat()}"'
-
-
 def _scores_json(scores: ResourceScores) -> str:
     return f'{{"cpu": {_number(scores.cpu)}, "llc": {_number(scores.llc)}, "mbw": {_number(scores.mbw)}}}'
 
@@ -73,7 +68,7 @@ def report_to_json(report) -> str:
         f'{{"node_resource_scores": {_scores_json(report.node_resource_scores)}, '
         f'"node_buoyancy": {_number(report.node_buoyancy)}, '
         f'"workload_reports": [{", ".join(map(_workload_json, report.workload_reports))}], '
-        f'"window_start": {_instant(report.window_start)}, "window_end": {_instant(report.window_end)}}}'
+        f'"window_start": "{report.window_start.isoformat()}", "window_end": "{report.window_end.isoformat()}"}}'
     )
 
 
@@ -188,12 +183,11 @@ class _Handler:
 
     def __init__(self, agent: MetricsAgent):
         self.agent = agent
-        self.response = b""
 
-    def _send(self, status: int, payload: bytes, content_type: str = "text/plain; charset=utf-8"):
+    def _send(self, status: int, payload: bytes, content_type: str = "text/plain; charset=utf-8") -> bytes:
         head = f"HTTP/1.0 {status} {HTTPStatus(status).phrase}\r\nContent-Type: {content_type}\r\n"
         log.debug('http: "%s" %d %d', self.request_line, status, len(payload))
-        self.response = f"{head}Content-Length: {len(payload)}\r\n\r\n".encode("latin-1") + payload
+        return f"{head}Content-Length: {len(payload)}\r\n\r\n".encode("latin-1") + payload
 
     def respond(self, head: bytes) -> bytes:
         """The response to ``head``; a handler error is logged and answered with 500."""
@@ -202,39 +196,35 @@ class _Handler:
             self.request_line = head.split(b"\n", 1)[0].rstrip(b"\r").decode("latin-1")
             words = self.request_line.split()
             if len(head) > MAX_HEAD_BYTES:
-                self._send(431, b"request head too large")
-            elif len(words) != 3 or not words[2].startswith("HTTP/"):
-                self._send(400, b"bad request line")
-            elif words[0] != "GET":
-                self._send(501, b"" if words[0] == "HEAD" else f"unsupported method {words[0]!r}".encode("latin-1"))
-            else:
-                self.path = words[1]
-                self.do_GET()
+                return self._send(431, b"request head too large")
+            if len(words) != 3 or not words[2].startswith("HTTP/"):
+                return self._send(400, b"bad request line")
+            if words[0] != "GET":
+                return self._send(501, b"" if words[0] == "HEAD" else f"unsupported method {words[0]!r}".encode("latin-1"))
+            self.path = words[1]
+            return self.do_GET()
         except Exception:  # the request's boundary: log, answer 500, keep serving
             log.exception('http: "%s" failed', self.request_line)
-            self._send(500, b"internal server error")
-        return self.response
+            return self._send(500, b"internal server error")
 
-    def do_GET(self):  # noqa: N802 (looked up on the class per request, so it can be wrapped)
+    def do_GET(self) -> bytes:  # noqa: N802 (looked up on the class per request, so it can be wrapped)
         path = self.path.split("?", 1)[0]
         if path == "/healthz":
             error = self.agent.error
             if error is None:
-                self._send(200, b"ok")
-            else:
-                self._send(503, f"engine loop stopped: {error}".encode("utf-8"))
-        elif path not in ("/metrics", "/v1/node") and not path.startswith("/v1/workloads/"):
-            self._send(404, b"not found")
-        elif (snapshot := self.agent.current_snapshot()) is None:
-            self._send(503, b"no report yet")
-        elif path == "/metrics":
-            self._send(200, snapshot.metrics_body(), content_type=CONTENT_TYPE)
-        elif path == "/v1/node":
-            self._send(200, snapshot.node_body(), content_type="application/json")
-        else:
-            wid = unquote(path[len("/v1/workloads/"):])
-            wr = snapshot.workload(wid)
-            if wr is None:
-                self._send(404, f"unknown workload {wid!r}".encode("utf-8"))
-            else:
-                self._send(200, report_to_json(wr).encode("utf-8"), content_type="application/json")
+                return self._send(200, b"ok")
+            return self._send(503, f"engine loop stopped: {error}".encode("utf-8"))
+        if path not in ("/metrics", "/v1/node") and not path.startswith("/v1/workloads/"):
+            return self._send(404, b"not found")
+        snapshot = self.agent.current_snapshot()
+        if snapshot is None:
+            return self._send(503, b"no report yet")
+        if path == "/metrics":
+            return self._send(200, snapshot.metrics_body(), content_type=CONTENT_TYPE)
+        if path == "/v1/node":
+            return self._send(200, snapshot.node_body(), content_type="application/json")
+        wid = unquote(path[len("/v1/workloads/"):])
+        wr = snapshot.workload(wid)
+        if wr is None:
+            return self._send(404, f"unknown workload {wid!r}".encode("utf-8"))
+        return self._send(200, report_to_json(wr).encode("utf-8"), content_type="application/json")

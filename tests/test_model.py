@@ -236,9 +236,8 @@ def test_value_type_is_a_frozen_slots_dataclass(value, changes):
         (TelemetrySample, [getattr(make_sample(), f.name) for f in dataclasses.fields(TelemetrySample)[:10]]),
         (MrcFit, (1.0, -0.5)),
         (Allocation, (2.0,)),
-        (NodeReport, (_SCORES, 0.2, [])),
     ],
-    ids=["TelemetrySample", "MrcFit", "Allocation", "NodeReport"],
+    ids=["TelemetrySample", "MrcFit", "Allocation"],
 )
 def test_value_type_defaults(cls, required):
     value = cls(*required)

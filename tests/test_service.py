@@ -147,7 +147,6 @@ JSON_REPORTS = [
         ),
         id="non-finite",
     ),
-    pytest.param(NodeReport(_SCORES, 0.5, [_workload()]), id="no-window"),
     pytest.param(
         NodeReport(_SCORES, 0.5, [], datetime(2026, 1, 1), datetime(2026, 1, 1, tzinfo=timezone(_SECOND * 3600))),
         id="no-workloads",
@@ -189,7 +188,7 @@ _ANY_SCORES = st.builds(ResourceScores, _ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT)
 #: Ids built from the characters each format escapes, plus any other text.
 _ANY_ID = st.text(st.sampled_from('\\"\n/ a\u00e9\u2603\U0001f600') | st.characters(), min_size=1, max_size=8)
 _ANY_WORKLOAD = st.builds(BuoyancyReport, _ANY_ID, _ANY_FLOAT, _ANY_FLOAT, _ANY_SCORES, st.booleans())
-_ANY_INSTANT = st.none() | st.datetimes(timezones=st.sampled_from([None, timezone.utc, timezone(-_SECOND * 19800)]))
+_ANY_INSTANT = st.datetimes(timezones=st.sampled_from([None, timezone.utc, timezone(-_SECOND * 19800)]))
 _ANY_NODE = st.builds(NodeReport, _ANY_SCORES, _ANY_FLOAT, st.lists(_ANY_WORKLOAD, max_size=4), _ANY_INSTANT, _ANY_INSTANT)
 
 
