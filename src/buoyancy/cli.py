@@ -131,6 +131,10 @@ def cmd_controller_sim(args) -> int:
             f"controller: actuation_bounds.max_cores with experiment.llc_alloc_kib "
             f"does not fit {args.plant!r}: {exc}"
         ) from None
+    try:
+        plant_config.check_windows(experiment.windows)
+    except ValueError as exc:
+        raise ConfigError(f"controller: experiment.windows does not fit {args.plant!r}: {exc}") from None
     _write_out("", args.out, mode="a")  # an unwritable --out fails before the run and truncates nothing
     records = controller.run_experiment(plant_config, ctrl_config, schedule, experiment)
     _write_out(analysis.format_csv(controller.ControlRecord, records), args.out)

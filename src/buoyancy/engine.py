@@ -27,6 +27,7 @@ from typing import Mapping, Optional, Sequence
 from .errors import SchemaError
 from .model import (
     DEFAULT_VIOLATION_THRESHOLD,
+    LEAST_CORES,
     BuoyancyReport,
     CacheTopology,
     ResourceScores,
@@ -167,8 +168,8 @@ class Engine:
         slos: Optional[Mapping[str, SloSpec]] = None,
         config: Optional[EngineConfig] = None,
     ):
-        if node_cores <= 0:
-            raise ValueError(f"node_cores must be > 0, got {node_cores}")
+        if not node_cores >= LEAST_CORES:
+            raise ValueError(f"node_cores must be > 0 and at least {LEAST_CORES}, got {node_cores}")
         self.topology = topology
         self.node_cores = node_cores
         self.slos = dict(slos or {})

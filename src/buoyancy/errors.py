@@ -11,6 +11,8 @@
   other ``BuoyancyError`` make the CLI exit 2.
 """
 
+from typing import Optional
+
 
 class BuoyancyError(Exception):
     """Base class for the errors this package defines; a rule or argument violation is a ``ValueError``."""
@@ -30,12 +32,14 @@ class ParseError(BuoyancyError):
 class SchemaError(BuoyancyError):
     """A telemetry record violates the schema.
 
-    Carries the name of the offending field.
+    Carries the name of the offending field and, for a replay record, the
+    1-based line number of its input line (None otherwise).
     """
 
-    def __init__(self, field: str, message: str = ""):
-        super().__init__(f"field {field!r}: {message}" if message else f"field {field!r}")
-        self.field = field
+    def __init__(self, field: str, message: str = "", line: Optional[int] = None):
+        text = f"field {field!r}: {message}" if message else f"field {field!r}"
+        super().__init__(text if line is None else f"line {line}: {text}")
+        self.field, self.message, self.line = field, message, line
 
 
 class InsufficientData(BuoyancyError):

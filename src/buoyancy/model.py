@@ -20,6 +20,10 @@ DEFAULT_VIOLATION_THRESHOLD = 0.1
 #: Every finite float is below it, and infinity and NaN are not.
 _FLOAT_LIMIT = 2**1024 - 2**970
 
+#: The least core count, ``sys.float_info.min``: a window lasts at least the
+#: 1 us that timestamps resolve, so cores x window stays above 0.
+LEAST_CORES = 2.0**-1022
+
 #: Finds a code point that UTF-8 cannot encode: a JSON-escaped lone surrogate,
 #: or a byte that is not UTF-8, read with ``errors="surrogateescape"``.
 find_surrogate = re.compile("[\ud800-\udfff]").search
@@ -153,7 +157,7 @@ class TelemetrySample:
         # Every number's sign and finiteness in one expression; each bound also fails on NaN,
         # and the upper one on an integer too large for a float.
         if not (
-            0 < self.cpu_alloc_cores < _FLOAT_LIMIT and 0 <= self.cpu_user_time_s < _FLOAT_LIMIT
+            LEAST_CORES <= self.cpu_alloc_cores < _FLOAT_LIMIT and 0 <= self.cpu_user_time_s < _FLOAT_LIMIT
             and 0 <= self.mem_refs < _FLOAT_LIMIT and 0 <= self.l1_miss < _FLOAT_LIMIT
             and 0 <= self.l2_miss < _FLOAT_LIMIT and 0 <= self.l3_miss < _FLOAT_LIMIT
             and 0 <= self.mbw_bytes < _FLOAT_LIMIT
@@ -165,8 +169,8 @@ class TelemetrySample:
 
     def _reject_number(self):
         """Raise the SchemaError naming the first number that breaks a rule, signs before finiteness."""
-        if not self.cpu_alloc_cores > 0:
-            raise SchemaError("cpu_alloc_cores", "must be > 0")
+        if not self.cpu_alloc_cores >= LEAST_CORES:
+            raise SchemaError("cpu_alloc_cores", f"must be > 0 and at least {LEAST_CORES}")
         for name in ("cpu_user_time_s", "mem_refs", "l1_miss", "l2_miss", "l3_miss", "mbw_bytes"):
             if not getattr(self, name) >= 0:
                 raise SchemaError(name, "must be >= 0")

@@ -36,8 +36,8 @@ from .model import CacheTopology, TelemetrySample, find_surrogate, value_type
 log = logging.getLogger(__name__)
 
 _EPOCH = datetime(2026, 1, 1, tzinfo=timezone.utc)
-#: The longest plant window, in whole seconds: the first window, stamped from
-#: ``_EPOCH``, must end by ``datetime.max``.
+#: The longest plant window, or run of windows, in whole seconds: every window,
+#: stamped from ``_EPOCH``, must end by ``datetime.max``.
 _LONGEST_WINDOW_S = (datetime.max.replace(tzinfo=timezone.utc) - _EPOCH) // timedelta(seconds=1)
 
 #: Synthetic memory references issued per request.
@@ -123,8 +123,8 @@ def _read_batches(fh: IO[str], strict: bool) -> Iterator[list[TelemetrySample]]:
     A line is decoded by ``_raw_decode`` when only JSON whitespace follows
     the value; any other line goes to ``json.loads``, which accepts it (a
     blank line is skipped) or raises the error reported for it. Window
-    boundaries show only one record ahead, so on a bad line the batch read
-    before it is yielded first; the error then ends the stream. When not
+    boundaries show only one record ahead, so the batch before a bad line is
+    yielded first; the error, with its line, then ends the stream. When not
     ``strict``, each unknown field name is logged once, with its first line.
     """
     with fh:
@@ -157,9 +157,11 @@ def _read_batches(fh: IO[str], strict: bool) -> Iterator[list[TelemetrySample]]:
                     batch = []
                     window = (sample.window_start, sample.window_end)
                 batch.append(sample)
-        except (ParseError, SchemaError):
+        except (ParseError, SchemaError) as exc:
             if batch:
                 yield batch
+            if isinstance(exc, SchemaError):  # a ParseError names its line already
+                raise SchemaError(exc.field, exc.message, line_no) from None
             raise
         if batch:
             yield batch
@@ -293,6 +295,11 @@ class PlantConfig:
         llc = math.fsum(a.llc_kib for a in allocations.values() if a.llc_kib is not None)
         if llc > self.topology.l3_size_kib + 1e-9:
             raise ValueError(f"allocated {llc} KiB of a {self.topology.l3_size_kib} KiB LLC")
+
+    def check_windows(self, windows: int) -> None:
+        """Raise ValueError when a run of ``windows`` windows would end past ``datetime.max``."""
+        if not windows * self.window_s <= _LONGEST_WINDOW_S:
+            raise ValueError(f"{windows} windows of {self.window_s} s last past the longest run, {_LONGEST_WINDOW_S} s")
 
 
 class ContentionPlant:

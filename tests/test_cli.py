@@ -113,6 +113,17 @@ def test_analyze_cli_insufficient_data_is_runtime_error(tmp_path, capsys):
     assert main(["analyze", "--input", replay, "--slo", str(config_path)]) == 2
 
 
+def test_analyze_cli_replay_schema_error_names_its_line(tmp_path, capsys):
+    with open("configs/replay_demo.jsonl", encoding="utf-8") as fh:
+        lines = fh.readlines()
+    record = json.loads(lines[5])
+    record["mem_refs"] = -1
+    lines[5] = json.dumps(record) + "\n"
+    (tmp_path / "bad.jsonl").write_text("".join(lines))
+    assert main(["analyze", "--input", str(tmp_path / "bad.jsonl"), "--slo", "configs/agent_replay.json"]) == 2
+    assert capsys.readouterr().err == "error: line 6: field 'mem_refs': must be >= 0\n"
+
+
 def test_missing_config_exits_1(capsys):
     assert main(["serve", "--config", "/nonexistent.json"]) == 1
     assert "config error" in capsys.readouterr().err
@@ -182,11 +193,14 @@ _BUNDLED_SIM = ["--plant", "configs/controller_plant.json", "--ctrl", "configs/c
         pytest.param(["analyze", "--input", "{tmp}/bad-median.json"], 1,
                      'config error: medians.workloads[0].p95_low_ms: expected a number, got "8.54"', id="bad-median"),
         pytest.param(["analyze", "--input", "{tmp}/bad-byte.jsonl", "--slo", "{tmp}/agent.json"], 2,
-                     "error: field 'workload_id': must be valid UTF-8", id="replay-byte-not-utf8"),
+                     "error: line 2: field 'workload_id': must be valid UTF-8", id="replay-byte-not-utf8"),
         pytest.param(["serve", "--config", "configs/agent_replay.json", "--listen", "127.0.0.1:99999"], 1,
                      "config error: --listen must be HOST:PORT with a port in 0-65535", id="listen-port-over-range"),
         pytest.param(["serve", "--config", "configs/agent_replay.json", "--listen", "127.0.0.1:\u00b2"], 1,
                      "config error: --listen must be HOST:PORT with a port in 0-65535", id="listen-port-not-ascii"),
+        pytest.param(["controller-sim", "--plant", "{tmp}/long-windows.json", *_BUNDLED_SIM[2:], "--out", "{tmp}/x.csv"], 1,
+                     "config error: controller: experiment.windows does not fit '{tmp}/long-windows.json': 220 windows "
+                     "of 200000000000.0 s last past the longest run", id="controller-sim-windows-past-datetime-max"),
     ],
 )
 def test_cli_failure_is_one_line_and_an_exit_code(tmp_path, argv, code, last_line):
@@ -201,6 +215,8 @@ def test_cli_failure_is_one_line_and_an_exit_code(tmp_path, argv, code, last_lin
     (tmp_path / "zero-median.json").write_text(json.dumps(medians))
     medians["workloads"][0]["p95_low_ms"] = "8.54"
     (tmp_path / "bad-median.json").write_text(json.dumps(medians))
+    with open("configs/controller_plant.json", encoding="utf-8") as fh:
+        (tmp_path / "long-windows.json").write_text(json.dumps({**json.load(fh), "window_s": 2e11}))
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(buoyancy.__file__)))
     result = subprocess.run(
         [sys.executable, "-m", "buoyancy.cli", *(arg.format(tmp=tmp_path) for arg in argv)],

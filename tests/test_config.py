@@ -62,6 +62,7 @@ BAD_CONFIGS = [
     ("agent-window-zero", "agent_replay.json", ("window_s",), 0, "config"),
     ("agent-window-past-timeout-max", "agent_plant.json", ("window_s",), 1e300, "config"),
     ("agent-node-cores-huge", "agent_replay.json", ("node_cores",), 10**400, "config.node_cores"),
+    ("agent-node-cores-subnormal", "agent_replay.json", ("node_cores",), 5e-324, "config"),
     ("agent-allocation-unknown-workload", "agent_plant.json", ("source", "allocations", "nope"),
      {"cores": 1}, "config"),
     ("agent-allocation-cores-zero", "agent_plant.json",

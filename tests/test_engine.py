@@ -509,6 +509,12 @@ def test_engine_rejects_non_positive_node_cores(topo):
         Engine(topology=topo, node_cores=0)
 
 
+@pytest.mark.parametrize("node_cores", [5e-324, math.nan])
+def test_engine_rejects_node_cores_the_cpu_score_cannot_divide_by(topo, node_cores):
+    with pytest.raises(ValueError, match=r"^node_cores must be > 0 and at least 2\.2250738585072014e-308, got "):
+        Engine(topology=topo, node_cores=node_cores)
+
+
 def test_engine_config_validation():
     with pytest.raises(ValueError):
         EngineConfig(alpha=1.5)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import sys
 from datetime import timedelta
 from typing import ClassVar
 
@@ -114,13 +115,19 @@ def test_sample_window_must_be_positive():
 
 @pytest.mark.parametrize(
     "field,value",
-    [("l1_miss", -1), ("cpu_alloc_cores", 0.0), ("mbw_alloc_bytes_per_s", -5),
+    [("l1_miss", -1), ("cpu_alloc_cores", 0.0), ("cpu_alloc_cores", 5e-324), ("mbw_alloc_bytes_per_s", -5),
      ("workload_id", "w\ud800"), ("workload_id", "\udfff")],
 )
 def test_sample_bad_value_names_field(field, value):
     with pytest.raises(SchemaError) as exc:
         make_sample(**{field: value})
     assert exc.value.field == field
+
+
+def test_sample_least_cores_keep_the_cpu_score_finite():
+    assert make_sample(cpu_alloc_cores=sys.float_info.min).cpu_alloc_cores == sys.float_info.min
+    with pytest.raises(SchemaError, match=rf"^field 'cpu_alloc_cores': must be > 0 and at least {sys.float_info.min}$"):
+        make_sample(cpu_alloc_cores=sys.float_info.min / 2)
 
 
 def test_sample_workload_id_may_be_any_utf8_text():

@@ -67,6 +67,16 @@ def test_replay_negative_counter_names_field(tmp_path):
     assert exc.value.field == "l1_miss"
 
 
+def test_replay_schema_error_names_its_line(tmp_path):
+    records = [record_dict(window_index=i) for i in range(3)]
+    records[2]["mem_refs"] = -1
+    source = ReplaySource(write_jsonl(tmp_path / "neg.jsonl", records))
+    assert source.next_batch() and source.next_batch()
+    with pytest.raises(SchemaError) as exc:
+        source.next_batch()
+    assert (exc.value.field, exc.value.line, str(exc.value)) == ("mem_refs", 3, "line 3: field 'mem_refs': must be >= 0")
+
+
 def test_replay_unknown_field_strict(tmp_path):
     record = record_dict()
     record["surprise"] = 1
@@ -423,7 +433,7 @@ def _via_json_loads(text):
     try:
         return [parse_telemetry_record(obj)]
     except SchemaError as exc:
-        return SchemaError, str(exc)
+        return SchemaError, f"line 1: {exc}"
 
 
 @pytest.mark.parametrize(
