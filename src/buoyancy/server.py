@@ -200,7 +200,8 @@ class _Handler:
             if len(words) != 3 or not words[2].startswith("HTTP/"):
                 return self._send(400, b"bad request line")
             if words[0] != "GET":
-                return self._send(501, b"" if words[0] == "HEAD" else f"unsupported method {words[0]!r}".encode("latin-1"))
+                body = b"" if words[0] == "HEAD" else f"unsupported method {words[0]!r}".encode("latin-1")
+                return self._send(501, body)
             self.path = words[1]
             return self.do_GET()
         except Exception:  # the request's boundary: log, answer 500, keep serving

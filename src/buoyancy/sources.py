@@ -299,7 +299,7 @@ class PlantConfig:
     def check_windows(self, windows: int) -> None:
         """Raise ValueError when a run of ``windows`` windows would end past ``datetime.max``."""
         if not windows * self.window_s <= _LONGEST_WINDOW_S:
-            raise ValueError(f"{windows} windows of {self.window_s} s last past the longest run, {_LONGEST_WINDOW_S} s")
+            raise ValueError(f"{windows} windows of {self.window_s} s outlast the longest run, {_LONGEST_WINDOW_S} s")
 
 
 class ContentionPlant:

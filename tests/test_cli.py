@@ -200,7 +200,7 @@ _BUNDLED_SIM = ["--plant", "configs/controller_plant.json", "--ctrl", "configs/c
                      "config error: --listen must be HOST:PORT with a port in 0-65535", id="listen-port-not-ascii"),
         pytest.param(["controller-sim", "--plant", "{tmp}/long-windows.json", *_BUNDLED_SIM[2:], "--out", "{tmp}/x.csv"], 1,
                      "config error: controller: experiment.windows does not fit '{tmp}/long-windows.json': 220 windows "
-                     "of 200000000000.0 s last past the longest run", id="controller-sim-windows-past-datetime-max"),
+                     "of 200000000000.0 s outlast the longest run", id="controller-sim-windows-past-datetime-max"),
     ],
 )
 def test_cli_failure_is_one_line_and_an_exit_code(tmp_path, argv, code, last_line):
