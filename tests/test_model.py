@@ -13,6 +13,7 @@ from buoyancy import (
     Allocation,
     BuoyancyReport,
     CacheTopology,
+    Engine,
     MrcFit,
     NodeReport,
     ResourceScores,
@@ -124,10 +125,12 @@ def test_sample_bad_value_names_field(field, value):
     assert exc.value.field == field
 
 
-def test_sample_least_cores_keep_the_cpu_score_finite():
-    assert make_sample(cpu_alloc_cores=sys.float_info.min).cpu_alloc_cores == sys.float_info.min
-    with pytest.raises(SchemaError, match=rf"^field 'cpu_alloc_cores': must be > 0 and at least {sys.float_info.min}$"):
-        make_sample(cpu_alloc_cores=sys.float_info.min / 2)
+def test_least_cores_keep_the_cpu_scores_finite(topo):
+    least = sys.float_info.min
+    report = Engine(topology=topo, node_cores=least).step([make_sample(cpu_alloc_cores=least, window_s=1e-6)])
+    assert report.workload_reports[0].resource_scores.cpu == report.node_resource_scores.cpu == 1.0
+    with pytest.raises(SchemaError, match=rf"^field 'cpu_alloc_cores': must be > 0 and at least {least}$"):
+        make_sample(cpu_alloc_cores=least / 2)
 
 
 def test_sample_workload_id_may_be_any_utf8_text():
