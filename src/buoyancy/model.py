@@ -8,7 +8,7 @@ unit conversion belongs at interface boundaries, not here.
 import re
 from dataclasses import MISSING, InitVar, dataclass, fields
 from datetime import datetime
-from typing import Optional
+from typing import Mapping, Optional, Union, get_args, get_origin
 
 from .errors import SchemaError
 
@@ -24,9 +24,26 @@ _FLOAT_LIMIT = 2**1024 - 2**970
 #: 1 us that timestamps resolve, so cores x window stays above 0.
 LEAST_CORES = 2.0**-1022
 
+#: The longest ``workload_id``, in characters: the longest Kubernetes object name.
+MAX_ID_CHARS = 253
+
 #: Finds a code point that UTF-8 cannot encode: a JSON-escaped lone surrogate,
 #: or a byte that is not UTF-8, read with ``errors="surrogateescape"``.
 find_surrogate = re.compile("[\ud800-\udfff]").search
+
+
+def check_types(values: Mapping, table: Mapping) -> None:
+    """Raise the SchemaError naming the first field of ``table`` that ``values`` lacks or holds a wrong type in.
+
+    ``table`` maps each field to its exact types, a type or a tuple, and whether it may be None.
+    """
+    for key, (types, nullable) in table.items():
+        if key not in values:
+            raise SchemaError(key, "missing")
+        value = values[key]
+        if type(value) not in (types if isinstance(types, tuple) else (types,)) and not (value is None and nullable):
+            message = "must not be null" if value is None else f"expected {types}, got {type(value).__name__}"
+            raise SchemaError(key, message)
 
 
 def value_type(cls):
@@ -143,10 +160,41 @@ class TelemetrySample:
     kpi_value: Optional[float] = None
 
     def __post_init__(self):
-        # The only home of a sample's value rules.
+        # The only home of a sample's rules: each field's exact type, then its value, in one expression.
+        # Each bound also fails on NaN, and each upper one on an integer too large for a float.
+        try:
+            valid = (
+                type(self.workload_id) is str and 0 < len(self.workload_id) <= MAX_ID_CHARS
+                and (self.workload_id.isascii() or not find_surrogate(self.workload_id))
+                and type(self.window_start) is type(self.window_end) is datetime
+                and self.window_end > self.window_start
+                and type(self.cpu_user_time_s) in (float, int) and 0 <= self.cpu_user_time_s < _FLOAT_LIMIT
+                and type(self.cpu_alloc_cores) in (float, int) and LEAST_CORES <= self.cpu_alloc_cores < _FLOAT_LIMIT
+                and type(self.mem_refs) is int and 0 <= self.mem_refs < _FLOAT_LIMIT
+                and type(self.l1_miss) is int and 0 <= self.l1_miss < _FLOAT_LIMIT
+                and type(self.l2_miss) is int and 0 <= self.l2_miss < _FLOAT_LIMIT
+                and type(self.l3_miss) is int and 0 <= self.l3_miss < _FLOAT_LIMIT
+                and type(self.mbw_bytes) is int and 0 <= self.mbw_bytes < _FLOAT_LIMIT
+                and (self.mbw_alloc_bytes_per_s is None
+                     or type(self.mbw_alloc_bytes_per_s) is int and 0 < self.mbw_alloc_bytes_per_s < _FLOAT_LIMIT)
+                and (self.llc_alloc_kib is None
+                     or type(self.llc_alloc_kib) in (float, int) and 0 < self.llc_alloc_kib < _FLOAT_LIMIT)
+                and (self.kpi_value is None
+                     or type(self.kpi_value) in (float, int) and 0 <= self.kpi_value < _FLOAT_LIMIT)
+            )
+        except TypeError:  # one window bound carries a UTC offset and the other does not
+            valid = False
+        if not valid:
+            self._reject()
+
+    def _reject(self):
+        """Raise the SchemaError naming the first rule the sample breaks: types in field order, then values."""
+        check_types({name: getattr(self, name) for name in SAMPLE_TYPES}, SAMPLE_TYPES)
         if not self.workload_id:
             raise SchemaError("workload_id", "must be non-empty")
-        if not self.workload_id.isascii() and find_surrogate(self.workload_id):
+        if len(self.workload_id) > MAX_ID_CHARS:
+            raise SchemaError("workload_id", f"must be at most {MAX_ID_CHARS} characters")
+        if find_surrogate(self.workload_id):
             raise SchemaError("workload_id", "must be valid UTF-8, with no lone surrogate")
         try:
             ordered = self.window_end > self.window_start
@@ -154,21 +202,6 @@ class TelemetrySample:
             raise SchemaError("window_end", "both window bounds must carry a UTC offset, or neither") from None
         if not ordered:
             raise SchemaError("window_end", "window must end after it starts")
-        # Every number's sign and finiteness in one expression; each bound also fails on NaN,
-        # and the upper one on an integer too large for a float.
-        if not (
-            LEAST_CORES <= self.cpu_alloc_cores < _FLOAT_LIMIT and 0 <= self.cpu_user_time_s < _FLOAT_LIMIT
-            and 0 <= self.mem_refs < _FLOAT_LIMIT and 0 <= self.l1_miss < _FLOAT_LIMIT
-            and 0 <= self.l2_miss < _FLOAT_LIMIT and 0 <= self.l3_miss < _FLOAT_LIMIT
-            and 0 <= self.mbw_bytes < _FLOAT_LIMIT
-            and (self.mbw_alloc_bytes_per_s is None or 0 < self.mbw_alloc_bytes_per_s < _FLOAT_LIMIT)
-            and (self.llc_alloc_kib is None or 0 < self.llc_alloc_kib < _FLOAT_LIMIT)
-            and (self.kpi_value is None or 0 <= self.kpi_value < _FLOAT_LIMIT)
-        ):
-            self._reject_number()
-
-    def _reject_number(self):
-        """Raise the SchemaError naming the first number that breaks a rule, signs before finiteness."""
         if not self.cpu_alloc_cores >= LEAST_CORES:
             raise SchemaError("cpu_alloc_cores", f"must be > 0 and at least {LEAST_CORES}")
         for name in ("cpu_user_time_s", "mem_refs", "l1_miss", "l2_miss", "l3_miss", "mbw_bytes"):
@@ -189,6 +222,14 @@ class TelemetrySample:
     def window_s(self) -> float:
         """Window length in seconds."""
         return (self.window_end - self.window_start).total_seconds()
+
+
+#: field -> (the exact types it takes, whether it may be None), read off the annotations: a float also takes an int.
+SAMPLE_TYPES = {
+    f.name: ({float: (int, float)}.get(tp, tp), tp is not f.type)
+    for f in fields(TelemetrySample)
+    for tp in [get_args(f.type)[0] if get_origin(f.type) is Union else f.type]  # X of an Optional[X]
+}
 
 
 @value_type

@@ -22,16 +22,18 @@ Counters and the reported KPI get multiplicative Gaussian noise
 closed-form latency is also returned separately as ground truth.
 """
 
+import functools
 import json
 import logging
 import math
 import random
-from dataclasses import dataclass, fields
+import re
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from typing import IO, Iterator, Mapping, Optional, Union, get_args, get_origin
+from typing import IO, Iterator, Mapping, Optional
 
 from .errors import ConfigError, ParseError, SchemaError
-from .model import CacheTopology, TelemetrySample, find_surrogate, value_type
+from .model import MAX_ID_CHARS, SAMPLE_TYPES, CacheTopology, TelemetrySample, check_types, find_surrogate, value_type
 
 log = logging.getLogger(__name__)
 
@@ -52,63 +54,53 @@ OVERLOAD_MULTIPLIER = 10.0
 # JSONL replay
 # --------------------------------------------------------------------------
 
-def _accepts(tp) -> tuple:
-    """The JSON types a ``TelemetrySample`` field of type ``tp`` takes, and whether it may be null."""
-    nullable = get_origin(tp) is Union  # Optional[X]
-    tp = get_args(tp)[0] if nullable else tp
-    return {float: (int, float), datetime: str}.get(tp, tp), nullable
+#: field -> (accepted JSON types, allow null): the sample's own types, with a window bound read from a string.
+_SCHEMA = {name: (str if types is datetime else types, nullable) for name, (types, nullable) in SAMPLE_TYPES.items()}
+
+#: A window bound: a date, ``T``, a time with an optional fraction, and an optional ``Z`` or UTC
+#: offset; ``T`` and ``Z`` may be lower case, as RFC 3339 allows.
+_WINDOW_BOUND = re.compile(r"\d{4}-\d\d-\d\d[Tt]\d\d:\d\d:\d\d(\.\d+)?([Zz]|[+-]\d\d:\d\d)?", re.ASCII).fullmatch
 
 
-#: field -> (accepted JSON types, allow null), read off ``TelemetrySample``: a
-#: float takes an int, a timestamp is a string, and an Optional field takes null.
-_SCHEMA = {f.name: _accepts(f.type) for f in fields(TelemetrySample)}
+@functools.lru_cache(maxsize=256)  # bounded, as telemetry chooses the strings
+def _window_bound(text: str) -> datetime:
+    """A window bound's datetime, made once for all records of its window; ValueError if not of the form."""
+    if type(text) is not str or not _WINDOW_BOUND(text):
+        raise ValueError(text)
+    return datetime.fromisoformat(text.upper())  # which also rejects a day, hour or offset out of range
 
-#: ``parse_telemetry_record`` is compiled from these templates, one block per
-#: ``_SCHEMA`` field in schema order. A ``type()`` test against exact types
-#: keeps a bool from passing as an int. The parser checks JSON shape only:
-#: every number rule, finiteness included, is ``TelemetrySample``'s, which
-#: rejects the ``NaN``, ``Infinity`` and too-large integers that ``json`` decodes.
-_HEAD = """def parse_telemetry_record(obj, strict=True):
-    \"""Build a TelemetrySample from one decoded JSONL object, checking its JSON shape.\"""
+
+def parse_telemetry_record(obj, strict=True) -> TelemetrySample:
+    """Build a TelemetrySample from one decoded JSONL object, mapping JSON to fields only.
+
+    Every rule, types included, is the sample's; ``_reject_shape`` names a record that does not map.
+    """
+    try:
+        if obj.keys() != _SCHEMA.keys() and (strict or not obj.keys() >= _SCHEMA.keys()):
+            raise KeyError  # an unknown field, or a missing one
+        start, end = _window_bound(obj["window_start"]), _window_bound(obj["window_end"])
+    except (AttributeError, KeyError, TypeError, ValueError):
+        _reject_shape(obj, strict)
+    return TelemetrySample(
+        obj["workload_id"], start, end, obj["cpu_user_time_s"], obj["cpu_alloc_cores"], obj["mem_refs"],
+        obj["l1_miss"], obj["l2_miss"], obj["l3_miss"], obj["mbw_bytes"], obj["mbw_alloc_bytes_per_s"],
+        obj["llc_alloc_kib"], obj["kpi_value"],
+    )
+
+
+def _reject_shape(obj, strict: bool):
+    """Raise the SchemaError naming a record's first shape error, in schema order, or else a bad window bound."""
     if not isinstance(obj, dict):
         raise SchemaError("<record>", "each line must be a JSON object")
-    if obj.keys() != _SCHEMA.keys():
-        for key in obj:
-            if key not in _SCHEMA:
-                if strict:
-                    raise SchemaError(key, "unknown field")"""
-_FIELD = """
-    try:
-        {key} = obj["{key}"]
-    except KeyError:
-        raise SchemaError("{key}", "missing") from None
-    if not ({exact}){nullable}:
-        raise SchemaError("{key}", {null}f"expected {types}, got {{type({key}).__name__}}")"""
-_TIMESTAMP = """
-    try:
-        {key} = datetime.fromisoformat({key})
-    except ValueError:
-        raise SchemaError("{key}", f"not an RFC3339 timestamp: {{{key}!r}}") from None"""
-
-
-def _compile_parser():
-    source = _HEAD
-    for key, (types, nullable) in _SCHEMA.items():
-        exact = types if isinstance(types, tuple) else (types,)
-        source += _FIELD.format(
-            key=key,
-            exact=" or ".join(f"type({key}) is {t.__name__}" for t in exact),
-            nullable=f" and {key} is not None" if nullable else "",
-            null="" if nullable else f'"must not be null" if {key} is None else ',
-            types=types,
-        )
-    source += "".join(_TIMESTAMP.format(key=f.name) for f in fields(TelemetrySample) if f.type is datetime)
-    source += f"\n    return TelemetrySample({', '.join(f.name for f in fields(TelemetrySample))})"
-    exec(source, globals(), defined := {})
-    return defined["parse_telemetry_record"]
-
-
-parse_telemetry_record = _compile_parser()
+    for key in obj if strict else ():
+        if key not in _SCHEMA:
+            raise SchemaError(key, "unknown field")
+    check_types(obj, _SCHEMA)
+    for key in ("window_start", "window_end"):
+        try:
+            _window_bound(obj[key])
+        except ValueError:
+            raise SchemaError(key, f"not an RFC3339 timestamp: {obj[key]!r}") from None
 
 
 #: Decodes one JSON value at the start of a string and returns where it
@@ -215,8 +207,8 @@ class PlantWorkload:
     interference_sensitivity: float = 0.0  # gamma in [0, 1]
 
     def __post_init__(self):
-        if not self.id:
-            raise ValueError("id must be non-empty")
+        if not 0 < len(self.id) <= MAX_ID_CHARS:
+            raise ValueError(f"id must have 1 to {MAX_ID_CHARS} characters")
         if find_surrogate(self.id):
             raise ValueError("id must be valid UTF-8, with no lone surrogate")
         if self.service_rate_per_core <= 0:

@@ -61,7 +61,7 @@ def _sample(rng: random.Random, workload_id: str, window: int) -> TelemetrySampl
         l2_miss=l2,
         l3_miss=l3,
         mbw_bytes=rng.randrange(0, 4 * 10**10),
-        mbw_alloc_bytes_per_s=None if rng.random() < 0.5 else rng.uniform(1e9, 2e10),
+        mbw_alloc_bytes_per_s=None if rng.random() < 0.5 else round(rng.uniform(1e9, 2e10)),
         llc_alloc_kib=None if rng.random() < 0.33 else 1024.0 * rng.randrange(1, 13),
         kpi_value=None if rng.random() < 0.05 else rng.uniform(1.0, 30.0),
     )

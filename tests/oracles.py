@@ -16,6 +16,7 @@ for byte.
 """
 
 import math
+import re
 from datetime import datetime, timedelta, timezone
 from operator import attrgetter
 
@@ -200,11 +201,17 @@ _CHECKS = tuple(
 )
 
 
+#: RFC 3339's date-time with the offset optional: T and Z in either case, a fraction of one digit or more.
+_RFC3339 = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}[Tt][0-9]{2}:[0-9]{2}:[0-9]{2}(\.[0-9]+)?([Zz]|[+-][0-9]{2}:[0-9]{2})?")
+
+
 def _parse_rfc3339(value, field):
     try:
-        return datetime.fromisoformat(value)
+        if _RFC3339.fullmatch(value):
+            return datetime.fromisoformat(value.upper())
     except ValueError:
-        raise SchemaError(field, f"not an RFC3339 timestamp: {value!r}") from None
+        pass
+    raise SchemaError(field, f"not an RFC3339 timestamp: {value!r}")
 
 
 def parse_record_reference(obj, strict=True):

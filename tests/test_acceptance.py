@@ -249,7 +249,7 @@ def test_criterion_3_score_range_fuzz():
             l2_miss=rng.randint(0, max(refs, 1)),
             l3_miss=rng.randint(0, max(refs, 1)),
             mbw_bytes=rng.randint(0, 10**12),
-            mbw_alloc_bytes_per_s=rng.choice([None, rng.uniform(1e6, 1e11)]),
+            mbw_alloc_bytes_per_s=rng.choice([None, round(rng.uniform(1e6, 1e11))]),
             llc_alloc_kib=rng.choice([None, rng.uniform(1.0, topo.l3_size_kib)]),
         )
         scores = score_workload(sample, topo)

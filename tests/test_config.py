@@ -80,6 +80,8 @@ BAD_CONFIGS = [
     ("plant-l3-ways-zero", "controller_plant.json", ("topology", "l3_ways"), 0, "plant.topology"),
     ("plant-workload-id-empty", "controller_plant.json", ("workloads", 0, "id"), "",
      "plant.workloads[0]"),
+    ("plant-workload-id-too-long", "controller_plant.json", ("workloads", 0, "id"), "w" * 254,
+     "plant.workloads[0]"),
     ("plant-workload-id-lone-surrogate", "controller_plant.json", ("workloads", 0, "id"), "w\ud800",
      "plant.workloads[0]"),
     ("plant-workload-latency-gain-zero", "controller_plant.json", ("workloads", 0, "latency_gain"), 0,

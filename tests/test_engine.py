@@ -440,7 +440,7 @@ _COUNTERS = st.tuples(
     st.integers(0, 10**7),
     st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
     st.integers(0, 10**11),
-    st.none() | st.sampled_from([1e9, 4e10]),
+    st.none() | st.sampled_from([10**9, 4 * 10**10]),
     st.none() | st.sampled_from([1024.0, 2048.0, 12288.0]),
     st.none() | st.floats(0.0, 30.0),
 )

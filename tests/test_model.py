@@ -2,11 +2,12 @@ import dataclasses
 import math
 import pickle
 import sys
-from datetime import timedelta
+from datetime import datetime, timedelta
 from typing import ClassVar
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from buoyancy import (
@@ -23,9 +24,10 @@ from buoyancy import (
     theoretical_max_mbw,
 )
 from buoyancy.controller import ControlRecord
-from buoyancy.model import value_type
+from buoyancy.model import SAMPLE_TYPES, value_type
+from buoyancy.sources import parse_telemetry_record
 
-from .conftest import EPOCH, make_sample
+from .conftest import EPOCH, make_sample, record_dict
 
 
 def test_swapped_l1_l2_rejected(topo):
@@ -149,15 +151,18 @@ _NUMBERS = [
 ]
 
 
+#: The least integer that ``float()`` cannot convert: it would round to 2**1024.
+_FLOAT_OVERFLOW = 2**1024 - 2**970
+
+#: The fields that take only an int: their infinity is the least integer a float cannot hold.
+_INTEGERS = {name for name, (types, _) in SAMPLE_TYPES.items() if types is int}
+
+
 @pytest.mark.parametrize("field", _NUMBERS)
 def test_sample_infinite_value_names_field(field):
     with pytest.raises(SchemaError) as exc:
-        make_sample(**{field: math.inf})
+        make_sample(**{field: _FLOAT_OVERFLOW if field in _INTEGERS else math.inf})
     assert (exc.value.field, str(exc.value)) == (field, f"field {field!r}: must be finite")
-
-
-#: The least integer that ``float()`` cannot convert: it would round to 2**1024.
-_FLOAT_OVERFLOW = 2**1024 - 2**970
 
 
 @pytest.mark.parametrize("field", _NUMBERS)
@@ -180,7 +185,7 @@ def test_sample_largest_integer_a_float_holds_is_accepted(field):
 
 @pytest.mark.parametrize("field", _NUMBERS)
 def test_sample_nan_or_negative_infinity_breaks_the_sign_rule(field):
-    for value in (math.nan, -math.inf):
+    for value in (-_FLOAT_OVERFLOW,) if field in _INTEGERS else (math.nan, -math.inf):
         with pytest.raises(SchemaError) as exc:
             make_sample(**{field: value})
         assert exc.value.field == field
@@ -197,6 +202,142 @@ def test_sample_window_length():
     assert make_sample(window_s=2.5).window_s == 2.5
 
 
+# ------------------------------------------------------------ the sample's type rules
+
+_START, _END = EPOCH, EPOCH + timedelta(seconds=1)
+
+
+@pytest.mark.parametrize(
+    "changes,field,message",
+    [
+        ({"mem_refs": True}, "mem_refs", "expected <class 'int'>, got bool"),
+        ({"mem_refs": 1.5}, "mem_refs", "expected <class 'int'>, got float"),
+        ({"mem_refs": "5"}, "mem_refs", "expected <class 'int'>, got str"),
+        ({"workload_id": 7}, "workload_id", "expected <class 'str'>, got int"),
+        ({"cpu_alloc_cores": None}, "cpu_alloc_cores", "must not be null"),
+        ({"window_start": "2026-01-01T00:00:00Z"}, "window_start", "expected <class 'datetime.datetime'>, got str"),
+        ({"window_end": "2026-01-01T00:00:01Z"}, "window_end", "expected <class 'datetime.datetime'>, got str"),
+        ({"window_start": _START.date()}, "window_start", "expected <class 'datetime.datetime'>, got date"),
+    ],
+    ids=["bool-int", "float-int", "str-int", "int-id", "null-cores", "str-start", "str-end", "date-start"],
+)
+def test_sample_built_directly_checks_types_as_the_replay_does(changes, field, message):
+    with pytest.raises(SchemaError) as exc:
+        dataclasses.replace(make_sample(), **changes)
+    assert (exc.value.field, exc.value.message) == (field, message)
+    if not field.startswith("window_"):  # the replay reads a bound from a string, so only the bounds differ
+        with pytest.raises(SchemaError) as replayed:
+            parse_telemetry_record({**record_dict(), **changes})
+        assert (replayed.value.field, replayed.value.message) == (field, message)
+
+
+def test_sample_workload_id_is_at_most_253_characters():
+    assert len(make_sample(workload_id="w" * 253).workload_id) == 253
+    with pytest.raises(SchemaError) as exc:
+        make_sample(workload_id="w" * 254)
+    assert (exc.value.field, exc.value.message) == ("workload_id", "must be at most 253 characters")
+
+
+#: Each field's exact types, whether it may be None, and its value rules in the order they are named:
+#: (the value's lower bound, whether it may equal it, the message), after the id and window rules.
+_TYPES = {
+    "workload_id": ((str,), False), "window_start": ((datetime,), False), "window_end": ((datetime,), False),
+    "cpu_user_time_s": ((int, float), False), "cpu_alloc_cores": ((int, float), False),
+    "mem_refs": ((int,), False), "l1_miss": ((int,), False), "l2_miss": ((int,), False),
+    "l3_miss": ((int,), False), "mbw_bytes": ((int,), False), "mbw_alloc_bytes_per_s": ((int,), True),
+    "llc_alloc_kib": ((int, float), True), "kpi_value": ((int, float), True),
+}
+_SIGN_RULES = [
+    ("cpu_alloc_cores", lambda v: v >= sys.float_info.min, f"must be > 0 and at least {sys.float_info.min}"),
+    *[(name, lambda v: v >= 0, "must be >= 0")
+      for name in ("cpu_user_time_s", "mem_refs", "l1_miss", "l2_miss", "l3_miss", "mbw_bytes")],
+    ("mbw_alloc_bytes_per_s", lambda v: v > 0, "must be > 0 when present"),
+    ("llc_alloc_kib", lambda v: v > 0, "must be > 0 when present"),
+    ("kpi_value", lambda v: v >= 0, "must be >= 0"),
+]
+
+
+def _first_broken_rule_reference(values):
+    """The (field, message) of the first rule ``values`` break, or None: a restatement of the sample's rules."""
+    for name, (types, nullable) in _TYPES.items():
+        value = values[name]
+        if type(value) not in types and not (value is None and nullable):
+            if value is None:
+                return name, "must not be null"
+            return name, f"expected {types[0] if len(types) == 1 else types}, got {type(value).__name__}"
+    wid = values["workload_id"]
+    if wid == "":
+        return "workload_id", "must be non-empty"
+    if len(wid) > 253:
+        return "workload_id", "must be at most 253 characters"
+    if any(0xD800 <= ord(c) <= 0xDFFF for c in wid):
+        return "workload_id", "must be valid UTF-8, with no lone surrogate"
+    start, end = values["window_start"], values["window_end"]
+    if (start.tzinfo is None) != (end.tzinfo is None):
+        return "window_end", "both window bounds must carry a UTC offset, or neither"
+    if not end > start:
+        return "window_end", "window must end after it starts"
+    for name, holds, message in _SIGN_RULES:
+        if values[name] is not None and not holds(values[name]):
+            return name, message
+    for name in list(_TYPES)[3:]:
+        if values[name] is not None and not _finite(values[name]):
+            return name, "must be finite"
+    return None
+
+
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+_WRONG = [None, True, False, "5", 1.5, 7, [], _START.date(), _START]
+_ID_VALUES = ["w", "", "w" * 253, "w" * 254, "w\ud800", "\udfff" + "w" * 300]
+_BOUND_VALUES = [_START, _END, _START.replace(tzinfo=None), _END + timedelta(microseconds=1)]
+_NUMBER_VALUES = [
+    0, 1, -1, 0.0, -0.0, 0.5, -0.5, sys.float_info.min, sys.float_info.min / 2, 5e-324,
+    math.inf, -math.inf, math.nan, 2**1024 - 2**970, 2**1024 - 2**970 - 1, -(2**1024),
+]
+
+
+@st.composite
+def _broken_samples(draw):
+    """A valid sample's values with up to three fields set to a value of each kind: a wrong type, None,
+    a bool, a float for an int, out of range, or not finite."""
+    values = dict(zip(_TYPES, dataclasses.astuple(make_sample(mbw_alloc_bytes_per_s=10**9, llc_alloc_kib=2048.0,
+                                                                kpi_value=4.0))))
+    for name in draw(st.lists(st.sampled_from(list(_TYPES)), max_size=3, unique=True)):
+        if name == "workload_id":
+            choices = _ID_VALUES + _WRONG
+        elif name.startswith("window_"):
+            choices = _BOUND_VALUES + _WRONG
+        else:
+            choices = _NUMBER_VALUES + _WRONG
+        values[name] = draw(st.sampled_from(choices))
+    return values
+
+
+@settings(max_examples=300)
+@given(values=_broken_samples())
+def test_sample_fast_check_accepts_exactly_what_the_namer_finds_no_broken_rule_in(values):
+    sample = object.__new__(TelemetrySample)  # every value set as drawn, without running the checks
+    for name, value in values.items():
+        object.__setattr__(sample, name, value)
+    rejected = []
+    with mock.patch.object(TelemetrySample, "_reject", lambda self: rejected.append(self)):
+        sample.__post_init__()
+    try:
+        sample._reject()
+        named = None
+    except SchemaError as exc:
+        named = exc.field, exc.message
+    expected = _first_broken_rule_reference(values)
+    assert named == expected
+    assert bool(rejected) == (named is not None)
+
+
 # ---------------------------------------------------------------- value types
 
 _SCORES = ResourceScores(0.25, 0.5, 0.75)
@@ -205,7 +346,7 @@ _REPORT = BuoyancyReport("w1", 0.5, 0.3, _SCORES, False)
 #: One instance of each value type, with no field left at its default, and
 #: a valid change of one field for ``dataclasses.replace``.
 VALUES = [
-    (make_sample(mbw_alloc_bytes_per_s=1e9, llc_alloc_kib=2048.0, kpi_value=4.0), {"kpi_value": 5.0}),
+    (make_sample(mbw_alloc_bytes_per_s=10**9, llc_alloc_kib=2048.0, kpi_value=4.0), {"kpi_value": 5.0}),
     (_SCORES, {"llc": 0.0}),
     (_REPORT, {"approaching_violation": True}),
     (MrcFit(2.0, -0.5, True), {"degenerate": False}),

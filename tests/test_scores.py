@@ -187,7 +187,7 @@ def _bits(scores):
     cpu_user_time_s=st.floats(0.0, 1e3),
     cpu_alloc_cores=st.floats(0.1, 64.0),
     mbw_bytes=st.integers(0, 10**13),
-    mbw_alloc_bytes_per_s=st.none() | st.floats(1.0, 1e12),
+    mbw_alloc_bytes_per_s=st.none() | st.integers(1, 10**12),
     pass_window=st.booleans(),
 )
 @example(
@@ -200,7 +200,7 @@ def _bits(scores):
 )
 @example(
     misses=(10**8, 10**7, 10**6), mem_refs=0, llc_alloc_kib=None, window_s=2.0,
-    cpu_user_time_s=5.0, cpu_alloc_cores=3.0, mbw_bytes=10**12, mbw_alloc_bytes_per_s=1e9, pass_window=True,
+    cpu_user_time_s=5.0, cpu_alloc_cores=3.0, mbw_bytes=10**12, mbw_alloc_bytes_per_s=10**9, pass_window=True,
 )
 def test_score_workload_matches_reference(
     misses, mem_refs, llc_alloc_kib, window_s, cpu_user_time_s, cpu_alloc_cores, mbw_bytes, mbw_alloc_bytes_per_s,

@@ -213,7 +213,7 @@ _SAMPLE_FIELDS = st.fixed_dictionaries(
         "l2_miss": st.integers(0, 10**15),
         "l3_miss": st.integers(0, 10**15),
         "mbw_bytes": st.integers(0, 10**15),
-        "mbw_alloc_bytes_per_s": st.none() | st.floats(1.0, 1e13),
+        "mbw_alloc_bytes_per_s": st.none() | st.integers(1, 10**13),
         "llc_alloc_kib": st.none() | st.floats(1.0, 1e6),
         "kpi_value": st.none() | st.floats(0.0, 1e9),
     }

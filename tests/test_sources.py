@@ -77,6 +77,45 @@ def test_replay_schema_error_names_its_line(tmp_path):
     assert (exc.value.field, exc.value.line, str(exc.value)) == ("mem_refs", 3, "line 3: field 'mem_refs': must be >= 0")
 
 
+@pytest.mark.parametrize("key", ["window_start", "window_end"])
+@pytest.mark.parametrize("bound", ["2026-01-01X00:00:00Z", "2026-01-01", "2026-01-01+05:00", "2026-01-01T00:00:00.Z",
+                                   "2026-01-01 00:00:00Z", "2026-01-01T00:00:00+05", "2026-01-01T00:00:00+05:00:00",
+                                   "2026-001T00:00:00Z", "２０２６-01-01T00:00:00Z", "2026-01-01T24:00:00Z"])
+def test_replay_window_bound_must_have_the_rfc3339_form(key, bound):
+    with pytest.raises(SchemaError) as exc:
+        parse_telemetry_record(dict(record_dict(), **{key: bound}))
+    assert (exc.value.field, exc.value.message) == (key, f"not an RFC3339 timestamp: {bound!r}")
+
+
+@pytest.mark.parametrize(
+    "start,end,window_s",
+    [
+        ("2026-01-01t00:00:00z", "2026-01-01T00:00:01Z", 1.0),
+        ("2026-01-01T00:00:00.25Z", "2026-01-01T00:00:01.5z", 1.25),
+        ("2026-01-01T05:30:00+05:30", "2026-01-01T00:00:01-00:00", 1.0),
+        ("2026-01-01T00:00:00", "2026-01-01T00:00:00.000001", 1e-6),
+    ],
+    ids=["lower-case", "fractions", "offsets", "no-offset"],
+)
+def test_replay_window_bound_forms_accepted(start, end, window_s):
+    assert parse_telemetry_record(dict(record_dict(), window_start=start, window_end=end)).window_s == window_s
+
+
+def test_replay_window_records_share_their_bounds(tmp_path):
+    path = write_jsonl(tmp_path / "t.jsonl", [record_dict(workload_id=f"w{i}") for i in range(3)])
+    batch = ReplaySource(path).next_batch()
+    assert len({id(s.window_start) for s in batch}) == len({id(s.window_end) for s in batch}) == 1
+
+
+def test_replay_workload_id_is_at_most_253_characters(tmp_path):
+    records = [record_dict(workload_id="w" * 253), record_dict(workload_id="w" * 254, window_index=1)]
+    source = ReplaySource(write_jsonl(tmp_path / "ids.jsonl", records))
+    assert source.next_batch()[0].workload_id == "w" * 253
+    with pytest.raises(SchemaError) as exc:
+        source.next_batch()
+    assert str(exc.value) == "line 2: field 'workload_id': must be at most 253 characters"
+
+
 def test_replay_unknown_field_strict(tmp_path):
     record = record_dict()
     record["surprise"] = 1
