@@ -23,6 +23,9 @@ from .sources import Allocation, PlantConfig
 
 _MISSING = dataclasses.MISSING
 
+#: How long ``serve`` must be able to step a plant source: 100 years, in seconds.
+SERVICE_LIFE_S = 100 * 365.25 * 86400
+
 _EXPECTED = {
     float: "a number",
     int: "an integer",
@@ -144,6 +147,7 @@ class AgentConfig:
             if self.node_cores != self.plant.total_cores:  # else the node CPU score divides by cores the plant lacks
                 raise ValueError("a plant source needs node_cores equal to source.plant.total_cores")
             self.plant.check_allocations(self.allocations)
+            self.plant.check_windows(math.ceil(SERVICE_LIFE_S / self.window_s))  # one plant window per engine window
             if not 0.0 <= self.interference <= 1.0:
                 raise ValueError(f"source.interference must be in [0, 1], got {self.interference}")
         else:

@@ -77,6 +77,8 @@ BAD_CONFIGS = [
     ("agent-allocations-empty", "agent_plant.json", ("source", "allocations"), {}, "config"),
     ("agent-topology-not-the-plants", "agent_plant.json", ("topology", "l3_size_kib"), 2048, "config"),
     ("agent-node-cores-not-the-plants", "agent_plant.json", ("node_cores",), 64, "config"),
+    ("agent-plant-clock-past-service-life", "agent_plant.json", ("source", "plant", "window_s"), 2e11, "config"),
+    ("agent-window-too-short-for-the-plant-clock", "agent_plant.json", ("window_s",), 1e-3, "config"),
     ("plant-l3-ways-zero", "controller_plant.json", ("topology", "l3_ways"), 0, "plant.topology"),
     ("plant-workload-id-empty", "controller_plant.json", ("workloads", 0, "id"), "",
      "plant.workloads[0]"),
@@ -163,6 +165,23 @@ def test_rule_violation_prints_its_whole_config_error_line(path, value, line, tm
     (tmp_path / "agent.json").write_text(json.dumps(obj))
     assert main(["serve", "--config", str(tmp_path / "agent.json"), "--listen", "127.0.0.1:0"]) == 1
     assert capsys.readouterr().err == line + "\n"
+
+
+def test_plant_clock_lasts_the_service_life(tmp_path, capsys):
+    # At the bundled 1 s engine window, 100 years are 3,155,760,000 windows; a plant window of 79 s
+    # keeps their end before datetime.max, and one of 80 s does not.
+    obj = _bundled("agent_plant.json")
+    obj["source"]["plant"]["window_s"] = 79
+    assert AgentConfig.from_dict(obj).plant.window_s == 79
+    obj["source"]["plant"]["window_s"] = 2e11
+    (tmp_path / "agent.json").write_text(json.dumps(obj))
+    assert main(["serve", "--config", str(tmp_path / "agent.json"), "--listen", "127.0.0.1:0"]) == 1
+    assert capsys.readouterr().err == (
+        "config error: config: 3155760000 windows of 200000000000.0 s outlast the longest run, 251635075199 s\n"
+    )
+    obj["source"]["plant"]["window_s"] = 80
+    with pytest.raises(ConfigError, match=r"^config: 3155760000 windows of 80\.0 s outlast"):
+        AgentConfig.from_dict(obj)
 
 
 @pytest.mark.parametrize("path", [("topology", "mem_channels"), ("source",)])
