@@ -32,6 +32,17 @@ MAX_ID_CHARS = 253
 find_surrogate = re.compile("[\ud800-\udfff]").search
 
 
+def workload_id_error(workload_id: str) -> Optional[str]:
+    """The rule a workload id breaks, or None: it is non-empty, at most ``MAX_ID_CHARS`` long and valid UTF-8."""
+    if not workload_id:
+        return "must be non-empty"
+    if len(workload_id) > MAX_ID_CHARS:
+        return f"must be at most {MAX_ID_CHARS} characters"
+    if find_surrogate(workload_id):
+        return "must be valid UTF-8, with no lone surrogate"
+    return None
+
+
 def check_types(values: Mapping, table: Mapping) -> None:
     """Raise the SchemaError naming the first field of ``table`` that ``values`` lacks or holds a wrong type in.
 
@@ -190,12 +201,9 @@ class TelemetrySample:
     def _reject(self):
         """Raise the SchemaError naming the first rule the sample breaks: types in field order, then values."""
         check_types({name: getattr(self, name) for name in SAMPLE_TYPES}, SAMPLE_TYPES)
-        if not self.workload_id:
-            raise SchemaError("workload_id", "must be non-empty")
-        if len(self.workload_id) > MAX_ID_CHARS:
-            raise SchemaError("workload_id", f"must be at most {MAX_ID_CHARS} characters")
-        if find_surrogate(self.workload_id):
-            raise SchemaError("workload_id", "must be valid UTF-8, with no lone surrogate")
+        message = workload_id_error(self.workload_id)
+        if message is not None:
+            raise SchemaError("workload_id", message)
         try:
             ordered = self.window_end > self.window_start
         except TypeError:  # one bound carries a UTC offset and the other does not

@@ -33,7 +33,7 @@ from datetime import datetime, timedelta, timezone
 from typing import IO, Iterator, Mapping, Optional
 
 from .errors import ConfigError, ParseError, SchemaError
-from .model import MAX_ID_CHARS, SAMPLE_TYPES, CacheTopology, TelemetrySample, check_types, find_surrogate, value_type
+from .model import SAMPLE_TYPES, CacheTopology, TelemetrySample, check_types, value_type, workload_id_error
 
 log = logging.getLogger(__name__)
 
@@ -207,10 +207,9 @@ class PlantWorkload:
     interference_sensitivity: float = 0.0  # gamma in [0, 1]
 
     def __post_init__(self):
-        if not 0 < len(self.id) <= MAX_ID_CHARS:
-            raise ValueError(f"id must have 1 to {MAX_ID_CHARS} characters")
-        if find_surrogate(self.id):
-            raise ValueError("id must be valid UTF-8, with no lone surrogate")
+        message = workload_id_error(self.id)  # the plant's ids are its samples' workload ids
+        if message is not None:
+            raise ValueError(f"id {message}")
         if self.service_rate_per_core <= 0:
             raise ValueError("service_rate_per_core must be > 0")
         if self.latency_gain <= 0:
