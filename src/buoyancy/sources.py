@@ -58,8 +58,9 @@ OVERLOAD_MULTIPLIER = 10.0
 _SCHEMA = {name: (str if types is datetime else types, nullable) for name, (types, nullable) in SAMPLE_TYPES.items()}
 
 #: A window bound: a date, ``T``, a time with an optional fraction, and an optional ``Z`` or UTC
-#: offset; ``T`` and ``Z`` may be lower case, as RFC 3339 allows.
-_WINDOW_BOUND = re.compile(r"\d{4}-\d\d-\d\d[Tt]\d\d:\d\d:\d\d(\.\d+)?([Zz]|[+-]\d\d:\d\d)?", re.ASCII).fullmatch
+#: offset; ``T`` and ``Z`` may be lower case, as RFC 3339 allows. The fraction has at most 9 digits,
+#: nanoseconds, so that the cache below holds short strings only.
+_WINDOW_BOUND = re.compile(r"\d{4}-\d\d-\d\d[Tt]\d\d:\d\d:\d\d(\.\d{1,9})?([Zz]|[+-]\d\d:\d\d)?", re.ASCII).fullmatch
 
 
 @functools.lru_cache(maxsize=256)  # bounded, as telemetry chooses the strings

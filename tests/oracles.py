@@ -201,8 +201,10 @@ _CHECKS = tuple(
 )
 
 
-#: RFC 3339's date-time with the offset optional: T and Z in either case, a fraction of one digit or more.
-_RFC3339 = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}[Tt][0-9]{2}:[0-9]{2}:[0-9]{2}(\.[0-9]+)?([Zz]|[+-][0-9]{2}:[0-9]{2})?")
+#: RFC 3339's date-time with the offset optional: T and Z in either case, a fraction of 1 to 9 digits.
+_RFC3339 = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}[Tt][0-9]{2}:[0-9]{2}:[0-9]{2}(\.[0-9]{1,9})?([Zz]|[+-][0-9]{2}:[0-9]{2})?"
+)
 
 
 def _parse_rfc3339(value, field):
