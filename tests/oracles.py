@@ -217,11 +217,11 @@ def _parse_rfc3339(value, field):
 
 
 def parse_record_reference(obj, strict=True):
-    """The table-driven record parser that the generated ``parse_telemetry_record`` replaced.
+    """A table-driven record parser, the reference for ``parse_telemetry_record``.
 
     Its errors, their fields, messages and precedence are the reference
-    for the generated function, which logs nothing either. It checks JSON
-    shape only; every number rule is ``TelemetrySample``'s.
+    for the parser, which logs nothing either. It checks JSON shape only;
+    every value rule is ``TelemetrySample``'s.
     """
     if not isinstance(obj, dict):
         raise SchemaError("<record>", "each line must be a JSON object")

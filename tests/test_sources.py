@@ -286,7 +286,7 @@ def test_replay_bad_line_ends_stream(tmp_path, monkeypatch, lines, delivered, er
         replay()
 
 
-# ----------------------------------------------------- generated record parser
+# --------------------------------------------------------------- record parser
 
 #: Values each schema field is set to in turn: wrong types, empties, signs,
 #: non-finite floats, and the integers on either side of the largest one a
