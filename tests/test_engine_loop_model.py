@@ -74,7 +74,7 @@ class EngineLoop(RuleBasedStateMachine):
         path.write_text("")
         self.path = path
         self.agent = MetricsAgent(AgentConfig.from_dict(_agent_config_dict(str(path))))
-        #: The file as lines: each a list of what was written to it, and whether a newline ends it.
+        #: The file as lines, each the list of what was written to it; the last one has no newline yet.
         self.lines: list[list] = [[]]
         self.writing = 0  # the window that good records are written to
         self.ids = 0  # good records written to that window

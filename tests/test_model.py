@@ -238,8 +238,7 @@ def test_sample_workload_id_is_at_most_253_characters():
     assert (exc.value.field, exc.value.message) == ("workload_id", "must be at most 253 characters")
 
 
-#: Each field's exact types, whether it may be None, and its value rules in the order they are named:
-#: (the value's lower bound, whether it may equal it, the message), after the id and window rules.
+#: Each field's exact types and whether it may be None, restated from the annotations.
 _TYPES = {
     "workload_id": ((str,), False), "window_start": ((datetime,), False), "window_end": ((datetime,), False),
     "cpu_user_time_s": ((int, float), False), "cpu_alloc_cores": ((int, float), False),
@@ -247,6 +246,7 @@ _TYPES = {
     "l3_miss": ((int,), False), "mbw_bytes": ((int,), False), "mbw_alloc_bytes_per_s": ((int,), True),
     "llc_alloc_kib": ((int, float), True), "kpi_value": ((int, float), True),
 }
+#: The sign rules, in the order they are named after the id and window rules: (field, test, message).
 _SIGN_RULES = [
     ("cpu_alloc_cores", lambda v: v >= sys.float_info.min, f"must be > 0 and at least {sys.float_info.min}"),
     *[(name, lambda v: v >= 0, "must be >= 0")
